@@ -83,12 +83,34 @@ def _evaluate(text: str, caps: Caps) -> FiniteGroup:
     return evaluate(parse(text), max_order=caps.order)
 
 
+def _map_tasks(worker, tasks: list, jobs: int) -> list:
+    """``worker`` over the tasks in order, in a process pool when jobs > 1.
+
+    The pool gets at most one worker per task, since it starts every
+    worker up front.
+    """
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            return list(pool.map(worker, tasks))
+    return [worker(t) for t in tasks]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # compute
 
 
-def _compute_report(task: tuple[str, frozenset, Caps, bool, int]) -> RunReport:
-    text, ops, caps, timing, jobs = task
+def _compute_report(task: tuple[str, frozenset, Caps, bool]) -> RunReport:
+    text, ops, caps, timing = task
     start = time.perf_counter()
     group = _evaluate(text, caps)
     poset = cyclic_subgroups(group, max_order=group.order)
@@ -96,7 +118,7 @@ def _compute_report(task: tuple[str, frozenset, Caps, bool, int]) -> RunReport:
         group=text,
         order=group.order,
         l1=len(poset),
-        csd=csd(group, jobs=jobs if jobs > 1 else None, max_order=group.order),
+        csd=csd(group, max_order=group.order),
         d=d(group),
     )
     if "lattice" in ops:
@@ -143,26 +165,21 @@ def _batch_tasks(args: argparse.Namespace, caps: Caps) -> list[tuple]:
                 ops.add(op)
             else:
                 raise ValueError(f"batch entry {i}: unknown op {op!r}")
-        tasks.append((entry["group"], frozenset(ops), caps, args.timing, 1))
+        tasks.append((entry["group"], frozenset(ops), caps, args.timing))
     return tasks
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
     if args.batch is not None:
-        tasks = _batch_tasks(args, caps)
-        if args.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(_compute_report, tasks))
-        else:
-            reports = [_compute_report(t) for t in tasks]
+        reports = _map_tasks(_compute_report, _batch_tasks(args, caps), args.jobs)
     else:
         ops = set(BASE_OPS)
         if args.all:
             ops |= ALL_OPS
         if args.sections:
             ops.add("csd_star")
-        task = (args.group, frozenset(ops), caps, args.timing, args.jobs)
+        task = (args.group, frozenset(ops), caps, args.timing)
         reports = [_compute_report(task)]
     sys.stdout.buffer.write(emit(reports, args.format, args.decimal))
     return 0
@@ -374,12 +391,7 @@ _SCAN_DEGREE_FIELDS = ("csd", "sd", "csd_h", "csd_k", "csd_star")
 def cmd_scan(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
     worker, fields = _SCAN_TASKS[args.mode]
-    tasks = [(text, caps) for text in args.groups]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(worker, tasks))
-    else:
-        chunks = [worker(t) for t in tasks]
+    chunks = _map_tasks(worker, [(text, caps) for text in args.groups], args.jobs)
     rows = [row for chunk in chunks for row in chunk]
     for row in rows:
         for name in _SCAN_DEGREE_FIELDS:
@@ -440,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text")
     common.add_argument("--decimal", action="store_true", help="render degrees as 6-significant-digit decimals")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for per-group computations")
+    common.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for batch entries and scan groups")
     common.add_argument("--max-order", type=int, default=None, help="group order guardrail (default 512; env CSDLAB_MAX_ORDER)")
     common.add_argument("--max-lattice-order", type=int, default=None, help="full-lattice guardrail (default 256)")
     common.add_argument("--max-sections-order", type=int, default=None, help="sections guardrail (default 128)")

@@ -9,19 +9,18 @@ Every degree is a fractions.Fraction in lowest terms, never a float:
   d    probability that two random elements commute
   csd* minimum of csd over all sections H/N
 
-All pair sums are over ordered pairs, computed once per unordered pair
-by symmetry, so sequential and partitioned summation agree exactly.
+Pair counts are over ordered pairs. Conjugation preserves permutability
+and commutativity, so csd and sd test one subgroup per conjugacy orbit
+(lattice.count_permuting_pairs) and d counts conjugacy classes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, _conjugation_maps
 from .lattice import (
-    _permutes_raw,
     count_permuting_pairs,
     cyclic_subgroups,
     is_normal,
@@ -32,50 +31,16 @@ from .lattice import (
 Degree = Fraction
 
 
-def _count_rows(group: FiniteGroup, data, rows) -> int:
-    """Ordered permuting pairs contributed by the given first-index rows.
-
-    Row i contributes 1 for the diagonal pair plus 2 per permuting
-    partner j > i, so summing over any partition of rows counts every
-    ordered pair exactly once.
-    """
-    t = group.table
-    inv = group.inverse
-    n = group.order
-    total = 0
-    for i in rows:
-        mh, eh, sh = data[i]
-        count = 1
-        for j in range(i + 1, len(data)):
-            mk, ek, sk = data[j]
-            if _permutes_raw(t, inv, n, mh, eh, sh, mk, ek, sk):
-                count += 2
-        total += count
-    return total
-
-
-def _csd_chunk(group: FiniteGroup, data, rows) -> int:
-    return _count_rows(group, data, rows)
-
-
 def csd(group: FiniteGroup, jobs: int | None = None, max_order: int | None = None) -> Degree:
     """Cyclic subgroup commutativity degree: permuting pairs over |L1|^2.
 
-    With jobs > 1 the row sum is partitioned across a process pool;
-    partial counts are integers, so the merged result is identical to
-    the sequential one.
+    ``jobs`` is kept for compatibility and starts no processes: with one
+    pair test per conjugacy orbit, pickling the table to workers cost
+    more than the tests it would share out.
     """
     poset = cyclic_subgroups(group, max_order=max_order)
-    data = [(s.members, s.elems, s.size) for s in poset.subgroups]
-    m = len(data)
-    if jobs is not None and jobs > 1 and m > 1:
-        chunks = [range(k, m, jobs) for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_csd_chunk, group, data, rows) for rows in chunks]
-            pairs = sum(f.result() for f in futures)
-    else:
-        pairs = _count_rows(group, data, range(m))
-    return Fraction(pairs, m * m)
+    m = len(poset.subgroups)
+    return Fraction(count_permuting_pairs(poset.subgroups), m * m)
 
 
 def sd(group: FiniteGroup, max_order: int | None = None) -> Degree:
@@ -100,14 +65,28 @@ def cdeg(group: FiniteGroup, max_order: int | None = None) -> Degree:
 
 
 def d(group: FiniteGroup) -> Degree:
-    """Probability that two uniformly random elements commute."""
-    t = group.table
-    n = group.order
-    count = n
-    for a in range(n):
-        row = t[a]
-        count += 2 * sum(1 for b in range(a + 1, n) if row[b] == t[b][a])
-    return Fraction(count, n * n)
+    """Probability that two uniformly random elements commute.
+
+    Equals k(G)/|G|, k(G) the number of conjugacy classes, since the
+    commuting pairs number sum |C_G(x)| = k(G)|G|. The classes are the
+    orbits of conjugation by a generating set.
+    """
+    maps = _conjugation_maps(group)
+    seen = bytearray(group.order)
+    classes = 0
+    for x in range(group.order):
+        if seen[x]:
+            continue
+        classes += 1
+        seen[x] = 1
+        orbit = [x]
+        for y in orbit:
+            for c in maps:
+                z = c[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    orbit.append(z)
+    return Fraction(classes, group.order)
 
 
 def is_iwasawa(group: FiniteGroup, max_order: int | None = None) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import GuardrailExceeded
@@ -364,6 +365,29 @@ def derived_subgroup(group: FiniteGroup) -> Subgroup:
     return generated_subgroup(group, comms)
 
 
+def _conjugation_maps(group: FiniteGroup) -> list[list[int]]:
+    """The maps x -> g^-1 x g for a greedy generating set of the group.
+
+    Each generator is the least element outside the subgroup generated
+    by the earlier ones, so there are at most log2(order) of them. The
+    orbits of these maps, on elements or on subgroups, are the orbits of
+    conjugation by the whole group. Identity maps (central generators)
+    are left out, so an abelian group gets none.
+    """
+    t = group.table
+    inv = group.inverse
+    elements = list(range(group.order))
+    gens: list[int] = []
+    mask = 1
+    full = (1 << group.order) - 1
+    while mask != full:
+        g = ((mask + 1) & ~mask).bit_length() - 1  # least element outside
+        gens.append(g)
+        mask = generated_mask(group, gens)
+    maps = [[t[t[inv[g]][x]][g] for x in elements] for g in gens]
+    return [c for c in maps if c != elements]
+
+
 def is_abelian(group: FiniteGroup) -> bool:
     return group.is_abelian
 
@@ -416,6 +440,42 @@ def relabel(group: FiniteGroup, perm: Permutation) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
+# Cayley tables from generators
+
+
+def _cayley_rows(n: int, rmul: list[list[int]], lmul: list[list[int]]) -> list[tuple[int, ...]]:
+    """Cayley table rows of the group generated by a few elements g_k.
+
+    ``rmul[k][u]`` is the index of u*g_k and ``lmul[k][v]`` that of g_k*v.
+    Walks the BFS tree from the identity 0; a new element w = u*g_k gets
+    row_w[v] = u*(g_k*v) = row_u[lmul[k][v]], so each row is one index
+    gather from an earlier row and the n^2 products never run in Python.
+    """
+    # itemgetter of n >= 2 indices returns a tuple; with n = 1 it is never
+    # called, since the identity row is the only row
+    gathers = [operator.itemgetter(*lk) for lk in lmul]
+    rows: list = [None] * n
+    rows[0] = tuple(range(n))
+    queue = [0]
+    for u in queue:
+        row = rows[u]
+        for rk, gather in zip(rmul, gathers):
+            w = rk[u]
+            if rows[w] is None:
+                rows[w] = gather(row)
+                queue.append(w)
+    return rows
+
+
+def _product_table(n: int, mul, gens: list[int]) -> list[tuple[int, ...]]:
+    """Cayley table of an order-n group from its product on indices and
+    generator indices; ``mul`` runs only 2n times per generator."""
+    rmul = [[mul(u, g) for u in range(n)] for g in gens]
+    lmul = [[mul(g, v) for v in range(n)] for g in gens]
+    return _cayley_rows(n, rmul, lmul)
+
+
+# ---------------------------------------------------------------------------
 # Family constructors
 
 
@@ -440,9 +500,12 @@ def elementary_abelian(p: int, k: int, max_order: int | None = None) -> FiniteGr
         raise GuardrailExceeded(f"order {n} exceeds max order {_cap(max_order)}")
     elems = list(itertools.product(range(p), repeat=k))
     index = {v: i for i, v in enumerate(elems)}
-    table = [
-        [index[tuple((x + y) % p for x, y in zip(u, v))] for v in elems] for u in elems
-    ]
+
+    def mul(a: int, b: int) -> int:
+        return index[tuple((x + y) % p for x, y in zip(elems[a], elems[b]))]
+
+    units = [p ** (k - 1 - i) for i in range(k)]  # index of the i-th unit vector
+    table = _product_table(n, mul, units)
     return FiniteGroup(table, f"Ea({p},{k})")
 
 
@@ -612,17 +675,17 @@ def p_group_P(
     vecs = list(itertools.product(range(p), repeat=k))
     index = {v: i for i, v in enumerate(vecs)}
     pk = len(vecs)
-    table = [[0] * size for _ in range(size)]
-    for s in range(q):
+
+    def mul(a: int, b: int) -> int:
+        s, vi = divmod(a, pk)
+        t, wi = divmod(b, pk)
         sc = scale[s]
-        scaled = [tuple(x * sc % p for x in w) for w in vecs]
-        for vi, v in enumerate(vecs):
-            row = table[s * pk + vi]
-            for t in range(q):
-                off = ((s + t) % q) * pk
-                for wi in range(pk):
-                    w = scaled[wi]
-                    row[t * pk + wi] = off + index[tuple((a + b) % p for a, b in zip(v, w))]
+        v = tuple((x + y * sc) % p for x, y in zip(vecs[vi], vecs[wi]))
+        return ((s + t) % q) * pk + index[v]
+
+    # x = (1, 0) and the unit vectors of Z_p^(n-1) generate the group
+    gens = [pk] + [p ** (k - 1 - i) for i in range(k)]
+    table = _product_table(size, mul, gens)
     return FiniteGroup(table, f"P({n},{p},{q})")
 
 
@@ -635,13 +698,13 @@ def heisenberg_E(p: int, max_order: int | None = None) -> FiniteGroup:
         raise GuardrailExceeded(f"order {size} exceeds max order {_cap(max_order)}")
     elems = list(itertools.product(range(p), repeat=3))
     index = {v: i for i, v in enumerate(elems)}
-    table = [
-        [
-            index[((a + a2) % p, (b + b2) % p, (c + c2 + a * b2) % p)]
-            for (a2, b2, c2) in elems
-        ]
-        for (a, b, c) in elems
-    ]
+
+    def mul(x: int, y: int) -> int:
+        (a, b, c), (a2, b2, c2) = elems[x], elems[y]
+        return index[((a + a2) % p, (b + b2) % p, (c + c2 + a * b2) % p)]
+
+    # (1,0,0) and (0,1,0); their commutator is (0,0,1)
+    table = _product_table(size, mul, [p * p, p])
     return FiniteGroup(table, f"E({size})")
 
 
@@ -661,8 +724,9 @@ def from_generators(
     gen_images = [g.images for g in gens]
     elems = [ident]
     index = {ident: 0}
+    rmul: list[list[int]] = [[] for _ in gens]
     for u in elems:
-        for gi in gen_images:
+        for gi, rk in zip(gen_images, rmul):
             w = tuple(u[j] for j in gi)
             if w not in index:
                 if len(elems) >= cap:
@@ -671,10 +735,9 @@ def from_generators(
                     )
                 index[w] = len(elems)
                 elems.append(w)
-    table = [
-        [index[tuple(u[j] for j in v)] for v in elems]
-        for u in elems
-    ]
+            rk.append(index[w])
+    lmul = [[index[tuple(gi[j] for j in v)] for v in elems] for gi in gen_images]
+    table = _cayley_rows(len(elems), rmul, lmul)
     if label is None:
         label = f"Perm({degree}; " + ", ".join(g.to_cycles() for g in gens) + ")"
     return FiniteGroup(table, label)

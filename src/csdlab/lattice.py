@@ -15,6 +15,7 @@ from .errors import GuardrailExceeded
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _conjugation_maps,
     quotient,
     subgroup_as_group,
 )
@@ -228,25 +229,71 @@ def c1(h: Subgroup, poset: CyclicPoset) -> list[Subgroup]:
 def count_permuting_pairs(subgroups) -> int:
     """Number of ordered pairs (H, K) with HK = KH in the given collection.
 
-    Exploits symmetry: the diagonal always permutes, off-diagonal pairs
-    are tested once and counted twice.
+    The collection must hold distinct subgroups of one group and be closed
+    under conjugation (as the cyclic poset and the full lattice are);
+    otherwise ValueError is raised. Conjugation maps permuting pairs to
+    permuting pairs, so one representative r per conjugacy orbit O is
+    tested: O adds |O| * (w + 2x), where w counts the partners of r in O
+    and x those in later orbits. A one-element orbit is a normal subgroup,
+    which permutes with everything and is never tested.
     """
     subs = list(subgroups)
     if not subs:
         return 0
     group = subs[0].group
+    position = {s.members: i for i, s in enumerate(subs)}
+    if len(position) != len(subs):
+        raise ValueError("subgroup collection has duplicates")
+    orbits = _conjugacy_orbits(subs, position, _conjugation_maps(group))
+    normal = {o[0] for o in orbits if len(o) == 1}
+    flat = [j for o in orbits for j in o]
+    data = [(s.members, s.elems, s.size) for s in subs]
     t = group.table
     inv = group.inverse
     n = group.order
-    data = [(s.members, s.elems, s.size) for s in subs]
-    total = len(subs)
-    for i in range(len(data)):
-        mh, eh, sh = data[i]
-        for j in range(i + 1, len(data)):
-            mk, ek, sk = data[j]
-            if _permutes_raw(t, inv, n, mh, eh, sh, mk, ek, sk):
-                total += 2
+    total = 0
+    start = 0
+    for orbit in orbits:
+        size = len(orbit)
+        if size == 1:
+            total += 1 + 2 * (len(flat) - start - 1)
+        else:
+            mh, eh, sh = data[orbit[0]]
+            hits = [
+                j in normal or _permutes_raw(t, inv, n, mh, eh, sh, *data[j])
+                for j in flat[start:]
+            ]
+            total += size * (sum(hits[:size]) + 2 * sum(hits[size:]))
+        start += size
     return total
+
+
+def _conjugacy_orbits(subs, position, maps) -> list[list[int]]:
+    """Positions of the subgroups grouped into conjugacy orbits, each
+    orbit listed from its first member in collection order."""
+    seen = [False] * len(subs)
+    orbits: list[list[int]] = []
+    for i in range(len(subs)):
+        if seen[i]:
+            continue
+        seen[i] = True
+        orbit = [i]
+        for j in orbit:
+            elems = subs[j].elems
+            for c in maps:
+                mask = 0
+                for x in elems:
+                    mask |= 1 << c[x]
+                p = position.get(mask)
+                if p is None:
+                    raise ValueError(
+                        "subgroup collection is not closed under conjugation"
+                    )
+                if not seen[p]:
+                    seen[p] = True
+                    orbit.append(p)
+        orbits.append(orbit)
+    return orbits
 
 
 def sections(group: FiniteGroup, max_order: int | None = None) -> Iterator[FiniteGroup]:

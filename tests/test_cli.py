@@ -76,6 +76,47 @@ def test_compute_deterministic_across_jobs(capsys):
     assert out_one == out_three
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_jobs_below_one_exit_2(capsys, value):
+    for argv in (["compute", "--group", "Z(4)"], ["scan", "csd-star", "Z(4)"]):
+        code, out, err = run(capsys, argv + ["--jobs", value])
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
+
+
+def test_pool_has_at_most_one_worker_per_task(capsys, monkeypatch, tmp_path):
+    sizes = []
+
+    class RecordingExecutor:
+        """Stands in for ProcessPoolExecutor: records max_workers and runs
+        the tasks in this process, so no worker is ever started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("csdlab.cli.ProcessPoolExecutor", RecordingExecutor)
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"group": "Z(3)"}, {"group": "S(3)"}]))
+    code, out_batch, _ = run(capsys, ["compute", "--batch", str(batch), "--jobs", "8"])
+    assert code == 0
+    code, out_scan, _ = run(capsys, ["scan", "csd-star", "Z(4)", "D(8)", "Q(8)", "--jobs", "16"])
+    assert code == 0
+    code, _, _ = run(capsys, ["scan", "csd-star", "Z(4)", "D(8)", "Q(8)", "--jobs", "2"])
+    assert code == 0
+    assert sizes == [2, 3, 2]
+    assert "S(3)" in out_batch and "41/49" in out_scan
+
+
 def test_batch_file(capsys, tmp_path):
     batch = tmp_path / "batch.json"
     batch.write_text(json.dumps([

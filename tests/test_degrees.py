@@ -49,7 +49,7 @@ def test_csd_frozen_values(text, value):
 
 
 def test_csd_matches_oracle(small_corpus):
-    for text, group in small_corpus:
+    for text, group in small_corpus + [(t, G(t)) for t in ("A(5)", "S(5)")]:
         assert csd(group, max_order=group.order) == brute_csd(group), text
 
 
@@ -80,7 +80,7 @@ def test_d_values():
     assert d(G("S(3)")) == Fraction(1, 2)
     assert d(G("D(8)")) == Fraction(5, 8)
     assert d(G("Z(9)")) == 1
-    for text in ("S(3)", "D(8)", "A(4)", "SD(16)"):
+    for text in ("S(3)", "D(8)", "A(4)", "SD(16)", "A(5)", "S(5)"):
         group = G(text)
         assert d(group) == brute_d(group), text
 

@@ -1,8 +1,10 @@
+import itertools
 from collections import Counter
 
 import pytest
 
 from csdlab.errors import GuardrailExceeded
+from csdlab.expr import evaluate, parse
 from csdlab.groups import (
     FiniteGroup,
     Permutation,
@@ -185,6 +187,87 @@ def test_from_generators_guardrail():
     images = tuple([1, 2, 3, 4, 5, 6, 7, 8, 9, 0])
     with pytest.raises(GuardrailExceeded):
         from_generators(10, [Permutation(images)], max_order=5)
+
+
+# Tables rebuilt one product at a time from each family's definition, as a
+# reference for the generator-tree table builder.
+
+
+def reference_permutation_table(degree, cycles):
+    """BFS closure from the identity, right-multiplying by each generator
+    in turn; the product a*b is a after b."""
+    gens = [Permutation.from_cycles(c, degree) for c in cycles]
+    elems = [Permutation.identity(degree)]
+    index = {elems[0]: 0}
+    for u in elems:
+        for g in gens:
+            w = u.compose(g)
+            if w not in index:
+                index[w] = len(elems)
+                elems.append(w)
+    return [[index[a.compose(b)] for b in elems] for a in elems]
+
+
+def reference_elementary_abelian_table(p, k):
+    elems = list(itertools.product(range(p), repeat=k))
+    index = {v: i for i, v in enumerate(elems)}
+    return [[index[tuple((x + y) % p for x, y in zip(u, v))] for v in elems] for u in elems]
+
+
+def reference_p_group_table(n, p, q):
+    """Element v*x^s at index s*p^(n-1) + index(v), with x v x^-1 = v^(r^-1)
+    and r of multiplicative order q mod p (the least such r > 1)."""
+    r = next(a for a in range(2, p) if pow(a, q, p) == 1)
+    vecs = list(itertools.product(range(p), repeat=n - 1))
+    index = {v: i for i, v in enumerate(vecs)}
+    elems = [(s, v) for s in range(q) for v in vecs]
+
+    def product(left, right):
+        (s, v), (t, w) = left, right
+        scale = pow(r, -s, p)
+        u = tuple((a + b * scale) % p for a, b in zip(v, w))
+        return ((s + t) % q) * len(vecs) + index[u]
+
+    return [[product(a, b) for b in elems] for a in elems]
+
+
+def reference_heisenberg_table(p):
+    """Unitriangular matrices [[1, a, c], [0, 1, b], [0, 0, 1]] over F_p,
+    indexed by (a, b, c) in lexicographic order, multiplied as matrices."""
+    elems = list(itertools.product(range(p), repeat=3))
+    index = {v: i for i, v in enumerate(elems)}
+
+    def matrix(v):
+        a, b, c = v
+        return ((1, a, c), (0, 1, b), (0, 0, 1))
+
+    def product(u, v):
+        x, y = matrix(u), matrix(v)
+        z = [[sum(x[i][k] * y[k][j] for k in range(3)) % p for j in range(3)] for i in range(3)]
+        return index[(z[0][1], z[1][2], z[0][2])]
+
+    return [[product(u, v) for v in elems] for u in elems]
+
+
+@pytest.mark.parametrize(
+    "text,reference",
+    [
+        ("S(4)", lambda: reference_permutation_table(4, ["(0 1)", "(0 1 2 3)"])),
+        ("A(5)", lambda: reference_permutation_table(5, ["(0 1 2)", "(0 1 2 3 4)"])),
+        (
+            "Perm(5; (0 1 2 3), (3 4))",
+            lambda: reference_permutation_table(5, ["(0 1 2 3)", "(3 4)"]),
+        ),
+        ("Ea(3,2)", lambda: reference_elementary_abelian_table(3, 2)),
+        ("Ea(2,4)", lambda: reference_elementary_abelian_table(2, 4)),
+        ("P(3,3,2)", lambda: reference_p_group_table(3, 3, 2)),
+        ("P(2,5,2)", lambda: reference_p_group_table(2, 5, 2)),
+        ("E(27)", lambda: reference_heisenberg_table(3)),
+    ],
+)
+def test_tree_built_tables_match_definitions(text, reference):
+    group = evaluate(parse(text))
+    assert group.table == tuple(map(tuple, reference())), text
 
 
 def test_permutation_cycles_round_trip():

@@ -6,7 +6,16 @@ from csdlab.degrees import csd
 from csdlab.errors import GuardrailExceeded
 from csdlab.expr import evaluate, parse
 from csdlab.formulas import tau
-from csdlab.groups import cyclic, dihedral, quasidihedral, trivial_subgroup
+from csdlab.groups import (
+    Permutation,
+    Subgroup,
+    cyclic,
+    dihedral,
+    from_generators,
+    generated_mask,
+    quasidihedral,
+    trivial_subgroup,
+)
 from csdlab.lattice import (
     c1,
     count_permuting_pairs,
@@ -123,11 +132,25 @@ def test_c1_counts_on_s3():
 
 def test_count_permuting_pairs_matches_double_loop(small_corpus):
     for text, group in small_corpus:
-        poset = list(cyclic_subgroups(group, max_order=group.order))
-        direct = sum(
-            1 for h in poset for k in poset if permutes(h, k)
-        )
-        assert count_permuting_pairs(poset) == direct, text
+        for collection in (
+            cyclic_subgroups(group, max_order=group.order),
+            subgroup_lattice(group, max_order=group.order),
+        ):
+            subs = list(collection)
+            direct = sum(1 for h in subs for k in subs if permutes(h, k))
+            assert count_permuting_pairs(subs) == direct, (text, collection)
+
+
+def test_count_permuting_pairs_rejects_collection_not_closed_under_conjugation():
+    s3 = from_generators(
+        3, [Permutation.from_cycles("(0 1)", 3), Permutation.from_cycles("(0 1 2)", 3)]
+    )
+    transposition = Subgroup(s3, generated_mask(s3, [1]))  # <(0 1)>
+    assert transposition.size == 2
+    with pytest.raises(ValueError, match="conjugation"):
+        count_permuting_pairs([trivial_subgroup(s3), transposition])
+    with pytest.raises(ValueError, match="duplicates"):
+        count_permuting_pairs([trivial_subgroup(s3), trivial_subgroup(s3)])
 
 
 def test_sections_of_trivial_group():
