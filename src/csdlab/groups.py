@@ -37,11 +37,20 @@ class FiniteGroup:
         elem_order: elem_order[a] is the least k >= 1 with a^k = identity.
         label: descriptive name, e.g. "D(8)" or "Z(4)xQ(8)".
 
-    Instances are never mutated after construction and are safe to share
-    across workers.
+    Instances are never mutated after construction, apart from private
+    caches of derived data, and are safe to share across workers.
     """
 
-    __slots__ = ("order", "table", "identity", "inverse", "elem_order", "label", "_abelian")
+    __slots__ = (
+        "order",
+        "table",
+        "identity",
+        "inverse",
+        "elem_order",
+        "label",
+        "_abelian",
+        "_conj_maps",
+    )
 
     def __init__(self, table: list[list[int]], label: str):
         n = len(table)
@@ -68,6 +77,7 @@ class FiniteGroup:
         self.elem_order = tuple(elem_order)
         self.label = label
         self._abelian: bool | None = None
+        self._conj_maps: list[list[int]] | None = None
 
     def mul(self, a: int, b: int) -> int:
         """Product of elements a and b (table lookup)."""
@@ -372,20 +382,23 @@ def _conjugation_maps(group: FiniteGroup) -> list[list[int]]:
     by the earlier ones, so there are at most log2(order) of them. The
     orbits of these maps, on elements or on subgroups, are the orbits of
     conjugation by the whole group. Identity maps (central generators)
-    are left out, so an abelian group gets none.
+    are left out, so an abelian group gets none. Computed once per group
+    and kept on it.
     """
-    t = group.table
-    inv = group.inverse
-    elements = list(range(group.order))
-    gens: list[int] = []
-    mask = 1
-    full = (1 << group.order) - 1
-    while mask != full:
-        g = ((mask + 1) & ~mask).bit_length() - 1  # least element outside
-        gens.append(g)
-        mask = generated_mask(group, gens)
-    maps = [[t[t[inv[g]][x]][g] for x in elements] for g in gens]
-    return [c for c in maps if c != elements]
+    if group._conj_maps is None:
+        t = group.table
+        inv = group.inverse
+        elements = list(range(group.order))
+        gens: list[int] = []
+        mask = 1
+        full = (1 << group.order) - 1
+        while mask != full:
+            g = ((mask + 1) & ~mask).bit_length() - 1  # least element outside
+            gens.append(g)
+            mask = generated_mask(group, gens)
+        maps = [[t[t[inv[g]][x]][g] for x in elements] for g in gens]
+        group._conj_maps = [c for c in maps if c != elements]
+    return group._conj_maps
 
 
 def is_abelian(group: FiniteGroup) -> bool:

@@ -1,10 +1,11 @@
 """Subgroup enumeration: cyclic poset, full lattice, normality, permutability.
 
 Subgroups are bitmasks over element indices (see groups.Subgroup). The
-full lattice is obtained by closing the set of cyclic subgroups under
-pairwise joins; every subgroup is a join of cyclic ones, so this is
-exhaustive. Collections are ordered by (size, mask value) so every
-enumeration is deterministic.
+full lattice is enumerated by cyclic extension: starting from the cyclic
+subgroups, each subgroup H is extended by the prime-power elements g
+with g^p in H, and <H, g> is closed as a union of cosets of H (see
+subgroup_lattice for why this finds every subgroup). Collections are
+ordered by (size, mask value) so every enumeration is deterministic.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     _conjugation_maps,
+    _mask_of,
     quotient,
     subgroup_as_group,
 )
+from .intmath import factorize, prime_power
 
 DEFAULT_MAX_ORDER = 512          # cyclic-poset operations
 DEFAULT_MAX_LATTICE_ORDER = 256  # full-lattice operations
@@ -83,71 +86,126 @@ def cyclic_subgroups(group: FiniteGroup, max_order: int | None = None) -> Cyclic
     return CyclicPoset(group, [Subgroup(group, m) for m in masks])
 
 
-def _join(group: FiniteGroup, gens: tuple[int, ...]) -> int:
-    """Mask of the subgroup generated by the given elements (BFS closure)."""
-    t = group.table
-    mask = 1
-    queue = [0]
-    for u in queue:
-        row = t[u]
-        for g in gens:
-            w = row[g]
-            if not (mask >> w) & 1:
-                mask |= 1 << w
-                queue.append(w)
-    return mask
-
-
 def subgroup_lattice(group: FiniteGroup, max_order: int | None = None) -> SubgroupLattice:
-    """The full subgroup lattice, as the join-closure of the cyclic subgroups.
+    """The full subgroup lattice, by cyclic extension with coset closure.
 
-    Seeds with every cyclic subgroup (one generator each), then joins
-    pairs until no new subgroup appears. Small generating sets are kept
-    per subgroup so each join is a cheap closure.
+    The worklist starts from the cyclic subgroups. A subgroup H is
+    extended only by elements g of prime-power order p^a with g not in H
+    and g^p in H, and K = <H, g> joins the worklist if it is new. This
+    finds every subgroup, for solvable and non-solvable groups alike:
+    take K != 1 and a maximal subgroup M of K, found by induction on the
+    order. K is generated by its elements of prime-power order, so one
+    of them, y, lies outside M; its last p-th power y' outside M has
+    y'^p in M, and <M, y'> = K since M is maximal.
+
+    K is built as a union of right cosets H*r, closed under the
+    generators of H and g, so a closure costs |K| bit sets and
+    |K:H| * |gens| lookups. Each step at least doubles the order, so a
+    subgroup keeps at most log2|G| generators. Three prunes keep the
+    result exact:
+
+    - <H, hg> = <H, g>, so once g is tried the whole coset H*g is done
+      for H;
+    - a closure holding more than |G|/p elements, p the least prime
+      dividing |G|, is G by Lagrange, and stops there;
+    - conjugation maps the extensions of H onto those of its
+      conjugates, so each new subgroup enters with its whole conjugacy
+      class and only that first one is extended.
+
+    The trivial subgroup is not extended: its extensions are the cyclic
+    subgroups the worklist starts from.
     """
     cap = DEFAULT_MAX_LATTICE_ORDER if max_order is None else max_order
     if group.order > cap:
         raise GuardrailExceeded(
             f"order {group.order} exceeds lattice max order {cap}"
         )
-    poset = cyclic_subgroups(group, max_order=group.order)
-    masks: list[int] = []
-    gens: dict[int, tuple[int, ...]] = {}
-    for sub in poset.subgroups:
-        g = max(sub.elems, key=lambda e: group.elem_order[e], default=0)
-        gens[sub.members] = (g,) if sub.size > 1 else ()
-        masks.append(sub.members)
-    full = (1 << group.order) - 1
-    i = 0
-    while i < len(masks):
-        a = masks[i]
-        for j in range(i):
-            b = masks[j]
-            u = a | b
-            if u == a or u == b or u in gens:
-                continue
-            joined = u if u == full else _join(group, gens[a] + gens[b])
-            if joined not in gens:
-                gens[joined] = gens[a] + gens[b]
-                masks.append(joined)
-        i += 1
-    masks.sort(key=lambda m: (m.bit_count(), m))
+    n = group.order
+    t = group.table
+    full = (1 << n) - 1
+    largest_proper = n // min(factorize(n), default=1)
+    maps = _conjugation_maps(group)
+    roots = _prime_power_roots(group)
+    known: set[int] = set()
+    work: list[tuple[int, tuple[int, ...]]] = []
+
+    def add_class(mask: int, gens: tuple[int, ...]) -> None:
+        known.add(mask)
+        work.append((mask, gens))
+        conjugates = [Subgroup(group, mask).elems]
+        for elems in conjugates:
+            for c in maps:
+                image = [c[x] for x in elems]
+                m = _mask_of(image)
+                if m not in known:
+                    known.add(m)
+                    conjugates.append(image)
+
+    for sub in cyclic_subgroups(group, max_order=n).subgroups:
+        if sub.members not in known:
+            g = max(sub.elems, key=lambda e: group.elem_order[e])
+            add_class(sub.members, (g,) if sub.size > 1 else ())
+    for mh, gh in work:
+        if mh == 1 or mh == full:
+            continue
+        eh = Subgroup(group, mh).elems
+        todo = 0
+        for h in eh:
+            todo |= roots[h]
+        todo &= ~mh
+        while todo:
+            g = (todo & -todo).bit_length() - 1
+            for h in eh:
+                todo &= ~(1 << t[h][g])
+            gk = gh + (g,)
+            mk = _coset_closure(t, mh, eh, gk, largest_proper, full)
+            if mk not in known:
+                add_class(mk, gk)
+    masks = sorted(known, key=lambda m: (m.bit_count(), m))
     return SubgroupLattice(group, [Subgroup(group, m) for m in masks])
 
 
+def _prime_power_roots(group: FiniteGroup) -> list[int]:
+    """roots[h]: mask of the elements g of prime-power order p^a > 1 with g^p = h."""
+    roots = [0] * group.order
+    for g in range(1, group.order):
+        pk = prime_power(group.elem_order[g])
+        if pk is not None:
+            roots[group.power(g, pk[0])] |= 1 << g
+    return roots
+
+
+def _coset_closure(t, mh, eh, gens, largest_proper, full) -> int:
+    """Mask of the subgroup generated by H and ``gens`` (which include a
+    generating set of H): the union of the right cosets H*r reached from
+    H by right multiplication with the generators."""
+    mask = mh
+    size = len(eh)
+    reps = [0]
+    for r in reps:
+        row = t[r]
+        for s in gens:
+            x = row[s]
+            if not (mask >> x) & 1:
+                for h in eh:
+                    mask |= 1 << t[h][x]
+                size += len(eh)
+                if size > largest_proper:
+                    return full
+                reps.append(x)
+    return mask
+
+
 def is_normal(sub: Subgroup) -> bool:
-    """True iff the subgroup is invariant under conjugation by every element."""
-    group = sub.group
-    t = group.table
-    inv = group.inverse
+    """True iff the subgroup is invariant under conjugation by every element.
+
+    Invariance under conjugation by each generator of the group decides
+    it, so the at most log2|G| maps of ``_conjugation_maps`` are tested.
+    """
     mask = sub.members
-    for g in range(group.order):
-        row = t[g]
-        ig = inv[g]
-        for x in sub.elems:
-            if not (mask >> t[row[x]][ig]) & 1:
-                return False
-    return True
+    return all(
+        (mask >> c[x]) & 1 for c in _conjugation_maps(sub.group) for x in sub.elems
+    )
 
 
 def normal_subgroups(

@@ -11,6 +11,7 @@ from csdlab.groups import (
     Subgroup,
     cyclic,
     dihedral,
+    elementary_abelian,
     from_generators,
     generated_mask,
     quasidihedral,
@@ -81,6 +82,87 @@ def test_lattice_is_sorted_and_unique(corpus):
         assert len(set(keys)) == len(keys), text
         assert subs[0].size == 1
         assert subs[-1].size == group.order
+
+
+def _divisors(m):
+    return [q for q in range(1, m + 1) if m % q == 0]
+
+
+def _gaussian_binomial(k, j, p):
+    """Number of j-dimensional subspaces of GF(p)^k."""
+    num = den = 1
+    for i in range(j):
+        num *= p ** (k - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def test_lattice_sizes_match_closed_forms():
+    # D(2m): the tau(m) rotation subgroups and, for each divisor q of m,
+    # the q dihedral subgroups <r^q, r^i s> with 0 <= i < q
+    for m in (12, 30, 64, 128):
+        expected = len(_divisors(m)) + sum(_divisors(m))
+        assert len(subgroup_lattice(dihedral(m))) == expected, m
+    assert len(_divisors(128)) + sum(_divisors(128)) == 263  # D(256)
+    # Ea(p,k): the subspaces of GF(p)^k, counted by dimension
+    for p, k, count in ((2, 6, 2825), (3, 4, 212), (5, 3, 64)):
+        expected = sum(_gaussian_binomial(k, j, p) for j in range(k + 1))
+        assert expected == count
+        assert len(subgroup_lattice(elementary_abelian(p, k))) == count, (p, k)
+    for text, count in (("S(4)", 30), ("A(5)", 59), ("S(5)", 156)):
+        assert len(subgroup_lattice(evaluate(parse(text)))) == count, text
+
+
+def _generating_set(group, mask):
+    """Greedy generators of the subgroup ``mask``: each is the least
+    element outside the span of the earlier ones."""
+    gens: list[int] = []
+    span = 1
+    while span != mask:
+        rest = mask & ~span
+        gens.append((rest & -rest).bit_length() - 1)
+        span = generated_mask(group, gens)
+    return gens
+
+
+@pytest.mark.parametrize("text", ["A(5)", "S(5)"])
+def test_lattice_of_non_solvable_group_is_complete(text):
+    # Every subgroup is a join of cyclic subgroups, so a family of
+    # subgroups that holds every cyclic subgroup and every pairwise join
+    # is the whole lattice.
+    group = evaluate(parse(text))
+    subs = subgroup_lattice(group).subgroups
+    masks = {sub.members for sub in subs}
+    for sub in subs:
+        sub.check()
+    assert {generated_mask(group, [g]) for g in range(group.order)} <= masks
+    gens = {m: _generating_set(group, m) for m in masks}
+    joined: set[int] = set()
+    for a in masks:
+        for b in masks:
+            union = a | b
+            if union in masks or union in joined:
+                continue
+            joined.add(union)  # <A u B> = <gens(A), gens(B)>
+            assert generated_mask(group, gens[a] + gens[b]) in masks, (a, b)
+
+
+@pytest.mark.parametrize("text", ["S(4)", "S(5)", "SD(32)", "D(128)", "A(5)xZ(2)"])
+def test_is_normal_matches_conjugation_by_every_element(text):
+    group = evaluate(parse(text))
+    t = group.table
+    inv = group.inverse
+    subs = subgroup_lattice(group).subgroups
+    normal = 0
+    for sub in subs:
+        direct = all(
+            sub.contains(t[t[inv[g]][x]][g])
+            for g in range(group.order)
+            for x in sub.elems
+        )
+        assert is_normal(sub) == direct, sub
+        normal += direct
+    assert 2 < normal < len(subs)
 
 
 def test_normal_subgroups_match_oracle(small_corpus):
