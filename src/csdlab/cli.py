@@ -36,6 +36,7 @@ from .formulas import (
     csd_semidihedral,
 )
 from .groups import (
+    DEFAULT_MAX_ORDER,
     FiniteGroup,
     cyclic,
     dihedral,
@@ -48,7 +49,7 @@ from .groups import (
     subgroup_as_group,
 )
 from .intmath import is_prime, primes_in
-from .lattice import cyclic_subgroups, normal_subgroups, subgroup_lattice
+from .lattice import _section_pairs, cyclic_subgroups, subgroup_lattice
 from .reports import FORMATS, RunReport, degree_str, emit, emit_rows
 
 DEGREE_OPS = ("csd", "d", "sd", "ndeg", "cdeg", "lattice", "csd_star", "is_iwasawa")
@@ -75,7 +76,12 @@ def _resolve_caps(args: argparse.Namespace) -> Caps:
     if order is None:
         env = os.environ.get("CSDLAB_MAX_ORDER")
         if env is not None:
-            order = int(env)
+            try:
+                order = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"CSDLAB_MAX_ORDER must be an integer, got {env!r}"
+                ) from None
     return Caps(order, args.max_lattice_order, args.max_sections_order)
 
 
@@ -242,7 +248,7 @@ def _verify_cases(family: str, value: int, caps: Caps):
             )
     elif family == "pgroup":
         if value >= 2:
-            limit = cap if cap is not None else 512
+            limit = cap if cap is not None else DEFAULT_MAX_ORDER
             for p in primes_in(3, limit):
                 if p ** (value - 1) > limit:
                     continue
@@ -420,25 +426,17 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 def cmd_sections(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
     group = _evaluate(args.group, caps)
-    cap = caps.sections if caps.sections is not None else 128
-    if group.order > cap:
-        raise GuardrailExceeded(f"order {group.order} exceeds sections max order {cap}")
     rows = []
-    lat = subgroup_lattice(group, max_order=group.order)
-    for sub in lat.subgroups:
-        sub_group = subgroup_as_group(sub)
-        for normal in normal_subgroups(sub_group, max_order=sub_group.order):
-            section = quotient(sub_group, normal)
-            rows.append(
-                {
-                    "h_order": sub.size,
-                    "n_order": normal.size,
-                    "order": section.order,
-                    "csd": degree_str(
-                        csd(section, max_order=section.order), args.decimal
-                    ),
-                }
-            )
+    for sub_group, normal in _section_pairs(group, max_order=caps.sections):
+        section = quotient(sub_group, normal)
+        rows.append(
+            {
+                "h_order": sub_group.order,
+                "n_order": normal.size,
+                "order": sub_group.order // normal.size,
+                "csd": degree_str(csd(section, max_order=section.order), args.decimal),
+            }
+        )
     fields = ("h_order", "n_order", "order", "csd")
     sys.stdout.buffer.write(emit_rows(fields, rows, args.format))
     return 0

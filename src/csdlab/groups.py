@@ -5,8 +5,12 @@ Elements of a group of order n are the integers 0..n-1 with identity 0;
 classical families (cyclic, elementary abelian, dihedral, generalized
 quaternion, quasi-dihedral, modular, elementary-abelian-by-cyclic,
 metacyclic, Heisenberg) plus permutation-generator closure, direct
-products and quotients. All groups are built by explicit element
-construction; nothing is solved from a presentation.
+products and quotients. Every family gives its product on element
+indices (the cyclic and metacyclic ones through ``_metacyclic``) and a
+few generators, and its table is built along the generator tree by
+``_cayley_rows``; nothing is solved from a presentation. Only the
+derived constructions (``direct_product``, ``quotient``,
+``subgroup_as_group``, ``relabel``) fill a table from existing tables.
 """
 
 from __future__ import annotations
@@ -488,6 +492,29 @@ def _product_table(n: int, mul, gens: list[int]) -> list[tuple[int, ...]]:
     return _cayley_rows(n, rmul, lmul)
 
 
+def _metacyclic(m: int, k: int, mult: list[int], wrap: int, label: str) -> FiniteGroup:
+    """The group <x, y> of order m*k with x^m = 1, y^k = x^wrap and
+    y^s x^j y^-s = x^(j * mult[s]); x^i y^s has index s*m + i.
+
+    x^wrap commutes with y, so a product that wraps past y^k just adds
+    wrap to the exponent of x. Generator indices that are the identity
+    (x when m = 1) or past the end (y when k = 1) are left out.
+    """
+    n = m * k
+
+    def mul(a: int, b: int) -> int:
+        s, i = divmod(a, m)
+        t, j = divmod(b, m)
+        u = s + t
+        if u >= k:
+            u -= k
+            i += wrap
+        return u * m + (i + j * mult[s]) % m
+
+    gens = [g for g in (1 % m, m) if 0 < g < n]
+    return FiniteGroup(_product_table(n, mul, gens), label)
+
+
 # ---------------------------------------------------------------------------
 # Family constructors
 
@@ -498,8 +525,7 @@ def cyclic(n: int, max_order: int | None = None) -> FiniteGroup:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     if n > _cap(max_order):
         raise GuardrailExceeded(f"order {n} exceeds max order {_cap(max_order)}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(table, f"Z({n})")
+    return _metacyclic(n, 1, [1], 0, f"Z({n})")
 
 
 def elementary_abelian(p: int, k: int, max_order: int | None = None) -> FiniteGroup:
@@ -528,17 +554,7 @@ def dihedral(m: int, max_order: int | None = None) -> FiniteGroup:
         raise ValueError(f"dihedral parameter must be >= 2, got {m}")
     if 2 * m > _cap(max_order):
         raise GuardrailExceeded(f"order {2 * m} exceeds max order {_cap(max_order)}")
-    size = 2 * m
-    table = [[0] * size for _ in range(size)]
-    for s in (0, 1):
-        sign = 1 if s == 0 else -1
-        for i in range(m):
-            row = table[s * m + i]
-            for t in (0, 1):
-                off = ((s + t) % 2) * m
-                for j in range(m):
-                    row[t * m + j] = off + (i + sign * j) % m
-    return FiniteGroup(table, f"D({size})")
+    return _metacyclic(m, 2, [1, m - 1], 0, f"D({2 * m})")
 
 
 def generalized_quaternion(n: int, max_order: int | None = None) -> FiniteGroup:
@@ -553,18 +569,7 @@ def generalized_quaternion(n: int, max_order: int | None = None) -> FiniteGroup:
     if size > _cap(max_order):
         raise GuardrailExceeded(f"order {size} exceeds max order {_cap(max_order)}")
     m = size // 2
-    h = size // 4  # y^2 = x^h
-    table = [[0] * size for _ in range(size)]
-    for s in (0, 1):
-        sign = 1 if s == 0 else -1
-        for i in range(m):
-            row = table[s * m + i]
-            for t in (0, 1):
-                off = ((s + t) % 2) * m
-                extra = h if s == 1 and t == 1 else 0
-                for j in range(m):
-                    row[t * m + j] = off + (i + sign * j + extra) % m
-    return FiniteGroup(table, f"Q({size})")
+    return _metacyclic(m, 2, [1, m - 1], size // 4, f"Q({size})")
 
 
 def quasidihedral(n: int, max_order: int | None = None) -> FiniteGroup:
@@ -575,17 +580,7 @@ def quasidihedral(n: int, max_order: int | None = None) -> FiniteGroup:
     if size > _cap(max_order):
         raise GuardrailExceeded(f"order {size} exceeds max order {_cap(max_order)}")
     m = size // 2
-    c = size // 4 - 1  # conjugation power; c^2 = 1 mod m
-    table = [[0] * size for _ in range(size)]
-    for s in (0, 1):
-        ms = 1 if s == 0 else c
-        for i in range(m):
-            row = table[s * m + i]
-            for t in (0, 1):
-                off = ((s + t) % 2) * m
-                for j in range(m):
-                    row[t * m + j] = off + (i + j * ms) % m
-    return FiniteGroup(table, f"SD({size})")
+    return _metacyclic(m, 2, [1, size // 4 - 1], 0, f"SD({size})")
 
 
 def modular_group_M(p: int, n: int, max_order: int | None = None) -> FiniteGroup:
@@ -604,16 +599,7 @@ def modular_group_M(p: int, n: int, max_order: int | None = None) -> FiniteGroup
     c = 1 + p ** (n - 2)
     cinv = pow(c, -1, m)  # left-moving multiplier so that y^-1 x y = x^c holds
     mult = [pow(cinv, s, m) for s in range(p)]
-    table = [[0] * size for _ in range(size)]
-    for s in range(p):
-        ms = mult[s]
-        for i in range(m):
-            row = table[s * m + i]
-            for t in range(p):
-                off = ((s + t) % p) * m
-                for j in range(m):
-                    row[t * m + j] = off + (i + j * ms) % m
-    return FiniteGroup(table, f"M({size})")
+    return _metacyclic(m, p, mult, 0, f"M({size})")
 
 
 def zm_group(m: int, n: int, r: int, max_order: int | None = None) -> FiniteGroup:
@@ -636,17 +622,8 @@ def zm_group(m: int, n: int, r: int, max_order: int | None = None) -> FiniteGrou
     size = m * n
     if size > _cap(max_order):
         raise GuardrailExceeded(f"order {size} exceeds max order {_cap(max_order)}")
-    mult = [pow(r, s, m) if m > 1 else 0 for s in range(n)]
-    table = [[0] * size for _ in range(size)]
-    for s in range(n):
-        ms = mult[s]
-        for i in range(m):
-            row = table[s * m + i]
-            for t in range(n):
-                off = ((s + t) % n) * m
-                for j in range(m):
-                    row[t * m + j] = off + (i + j * ms) % m
-    return FiniteGroup(table, f"ZM({m},{n},{r})")
+    mult = [pow(r, s, m) for s in range(n)]
+    return _metacyclic(m, n, mult, 0, f"ZM({m},{n},{r})")
 
 
 def p_group_P(

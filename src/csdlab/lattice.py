@@ -28,27 +28,9 @@ DEFAULT_MAX_LATTICE_ORDER = 256  # full-lattice operations
 DEFAULT_MAX_SECTIONS_ORDER = 128  # section enumeration
 
 
-class CyclicPoset:
-    """All cyclic subgroups of one group, deduplicated, in (size, mask) order."""
-
-    __slots__ = ("group", "subgroups")
-
-    def __init__(self, group: FiniteGroup, subgroups: list[Subgroup]):
-        self.group = group
-        self.subgroups = tuple(subgroups)
-
-    def __len__(self) -> int:
-        return len(self.subgroups)
-
-    def __iter__(self):
-        return iter(self.subgroups)
-
-    def __repr__(self) -> str:
-        return f"CyclicPoset({self.group.label!r}, {len(self.subgroups)} subgroups)"
-
-
 class SubgroupLattice:
-    """All subgroups of one group, deduplicated, in (size, mask) order."""
+    """Subgroups of one group, deduplicated, in (size, mask) order: all of
+    them from subgroup_lattice, the cyclic ones from cyclic_subgroups."""
 
     __slots__ = ("group", "subgroups")
 
@@ -64,6 +46,9 @@ class SubgroupLattice:
 
     def __repr__(self) -> str:
         return f"SubgroupLattice({self.group.label!r}, {len(self.subgroups)} subgroups)"
+
+
+CyclicPoset = SubgroupLattice  # the collection cyclic_subgroups returns
 
 
 def cyclic_subgroups(group: FiniteGroup, max_order: int | None = None) -> CyclicPoset:
@@ -361,6 +346,14 @@ def sections(group: FiniteGroup, max_order: int | None = None) -> Iterator[Finit
     Isomorphic duplicates are not removed. Deterministic order: H in
     lattice order, then N in the lattice order of H.
     """
+    for h, normal in _section_pairs(group, max_order):
+        yield quotient(h, normal)
+
+
+def _section_pairs(
+    group: FiniteGroup, max_order: int | None = None
+) -> Iterator[tuple[FiniteGroup, Subgroup]]:
+    """(H as a group, N) for each section H/N, in the order of sections()."""
     cap = DEFAULT_MAX_SECTIONS_ORDER if max_order is None else max_order
     if group.order > cap:
         raise GuardrailExceeded(
@@ -369,5 +362,5 @@ def sections(group: FiniteGroup, max_order: int | None = None) -> Iterator[Finit
     lat = subgroup_lattice(group, max_order=group.order)
     for h in lat.subgroups:
         hg = subgroup_as_group(h)
-        for nsub in normal_subgroups(hg, max_order=hg.order):
-            yield quotient(hg, nsub)
+        for normal in normal_subgroups(hg, max_order=hg.order):
+            yield hg, normal

@@ -198,8 +198,9 @@ def test_env_var_guardrail(capsys, monkeypatch):
     )
     assert code == 0
     monkeypatch.setenv("CSDLAB_MAX_ORDER", "banana")
-    code, _, _ = run(capsys, ["compute", "--group", "Z(6)"])
+    code, _, err = run(capsys, ["compute", "--group", "Z(6)"])
     assert code == 2
+    assert "CSDLAB_MAX_ORDER must be an integer, got 'banana'" in err
 
 
 def test_usage_error_exit_2(capsys):

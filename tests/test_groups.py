@@ -270,6 +270,45 @@ def test_tree_built_tables_match_definitions(text, reference):
     assert group.table == tuple(map(tuple, reference())), text
 
 
+@pytest.mark.parametrize(
+    "build,m,k,wrap,c",
+    [
+        (lambda: dihedral(4), 4, 2, 0, 3),
+        (lambda: dihedral(9), 9, 2, 0, 8),
+        (lambda: generalized_quaternion(4), 8, 2, 4, 7),
+        (lambda: generalized_quaternion(5), 16, 2, 8, 15),
+        (lambda: quasidihedral(4), 8, 2, 0, 3),
+        (lambda: quasidihedral(5), 16, 2, 0, 7),
+        (lambda: modular_group_M(2, 4), 8, 2, 0, 5),
+        (lambda: modular_group_M(3, 3), 9, 3, 0, 4),
+        (lambda: zm_group(7, 3, 2), 7, 3, 0, 4),
+        (lambda: zm_group(21, 2, 20), 21, 2, 0, 20),
+        (lambda: zm_group(1, 5, 0), 1, 5, 0, 0),
+        (lambda: cyclic(1), 1, 1, 0, 0),
+        (lambda: cyclic(12), 12, 1, 0, 1),
+    ],
+    ids=[
+        "D(8)", "D(18)", "Q(16)", "Q(32)", "SD(16)", "SD(32)", "M(16)", "M(27)",
+        "ZM(7,3,2)", "ZM(21,2,20)", "ZM(1,5,0)", "Z(1)", "Z(12)",
+    ],
+)
+def test_metacyclic_tables_satisfy_presentation(build, m, k, wrap, c):
+    """x^i y^s sits at index s*m + i, x has order m, y^k = x^wrap and
+    y^-1 x y = x^c. An order-m*k group with these relations and this
+    indexing has exactly one Cayley table, so this pins every entry."""
+    g = build()
+    validate(g)
+    assert g.order == m * k
+    x = 1 % m  # the identity when m = 1
+    y = m if k > 1 else g.power(x, wrap)  # with k = 1, y = y^k = x^wrap
+    for s in range(k):
+        for i in range(m):
+            assert g.mul(g.power(x, i), g.power(y, s)) == s * m + i
+    assert g.elem_order[x] == m
+    assert g.power(y, k) == g.power(x, wrap)
+    assert g.mul(g.mul(g.inv(y), x), y) == g.power(x, c)
+
+
 def test_permutation_cycles_round_trip():
     p = Permutation.from_cycles("(0 1)(2 3)", 4)
     assert p.to_cycles() == "(0 1)(2 3)"
