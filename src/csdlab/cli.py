@@ -45,11 +45,9 @@ from .groups import (
     heisenberg_E,
     p_group_P,
     quasidihedral,
-    quotient,
-    subgroup_as_group,
 )
 from .intmath import is_prime, primes_in
-from .lattice import _section_pairs, cyclic_subgroups, subgroup_lattice
+from .lattice import _section_degrees, _sections_lattice, cyclic_subgroups, subgroup_lattice
 from .reports import FORMATS, RunReport, degree_str, emit, emit_rows
 
 DEGREE_OPS = ("csd", "d", "sd", "ndeg", "cdeg", "lattice", "csd_star", "is_iwasawa")
@@ -230,7 +228,7 @@ def _verify_cases(family: str, value: int, caps: Caps):
     """Yield (params label, formula value, group builder) for one sweep point."""
     cap = caps.order
     if family == "dihedral":
-        if value >= 1:
+        if value >= 2:
             yield (f"m={value}", csd_dihedral(value), lambda: dihedral(value, max_order=cap))
     elif family == "quaternion":
         if value >= 3:
@@ -320,10 +318,7 @@ def _scan_monotonicity_task(task: tuple[str, Caps]) -> list[dict[str, object]]:
     try:
         group = _evaluate(text, caps)
         lat = subgroup_lattice(group, max_order=caps.lattice)
-        values = []
-        for sub in lat.subgroups:
-            sub_group = subgroup_as_group(sub)
-            values.append(csd(sub_group, max_order=sub_group.order))
+        values = [value for _, _, value in _section_degrees(lat, quotients=False)]
         for j, outer in enumerate(lat.subgroups):
             for i, inner in enumerate(lat.subgroups[:j]):
                 if inner.members & outer.members != inner.members:
@@ -426,17 +421,16 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 def cmd_sections(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
     group = _evaluate(args.group, caps)
-    rows = []
-    for sub_group, normal in _section_pairs(group, max_order=caps.sections):
-        section = quotient(sub_group, normal)
-        rows.append(
-            {
-                "h_order": sub_group.order,
-                "n_order": normal.size,
-                "order": sub_group.order // normal.size,
-                "csd": degree_str(csd(section, max_order=section.order), args.decimal),
-            }
-        )
+    lat = _sections_lattice(group, caps.sections)
+    rows = [
+        {
+            "h_order": h.size,
+            "n_order": normal.size,
+            "order": h.size // normal.size,
+            "csd": degree_str(value, args.decimal),
+        }
+        for h, normal, value in _section_degrees(lat)
+    ]
     fields = ("h_order", "n_order", "order", "csd")
     sys.stdout.buffer.write(emit_rows(fields, rows, args.format))
     return 0

@@ -21,10 +21,11 @@ from fractions import Fraction
 
 from .groups import FiniteGroup, Subgroup, _conjugation_maps
 from .lattice import (
+    _section_degrees,
+    _sections_lattice,
     count_permuting_pairs,
     cyclic_subgroups,
     is_normal,
-    sections,
     subgroup_lattice,
 )
 
@@ -107,13 +108,8 @@ def is_iwasawa(group: FiniteGroup, max_order: int | None = None) -> bool:
 
 def csd_star(group: FiniteGroup, max_order: int | None = None) -> Degree:
     """Minimum of csd over all sections H/N (the group itself included)."""
-    best: Fraction | None = None
-    for section in sections(group, max_order=max_order):
-        value = csd(section, max_order=section.order)
-        if best is None or value < best:
-            best = value
-    assert best is not None  # the trivial section always exists
-    return best
+    lat = _sections_lattice(group, max_order)
+    return min(value for _, _, value in _section_degrees(lat))
 
 
 def csd_coprime_product(degrees: list[Degree]) -> Degree:

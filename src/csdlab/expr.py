@@ -263,9 +263,7 @@ def evaluate(expr: GroupExpr, max_order: int | None = None) -> FiniteGroup:
         return direct_product(left, right, max_order=max_order)
     if isinstance(expr, Perm):
         try:
-            gens = [
-                _permutation_from_cycles(expr.degree, cycles) for cycles in expr.gens
-            ]
+            gens = [Permutation.from_cycles(c, expr.degree) for c in expr.gens]
             return from_generators(expr.degree, gens, max_order=max_order)
         except ValueError as exc:
             raise ExprError(str(exc), expr.span) from exc
@@ -276,23 +274,6 @@ def evaluate(expr: GroupExpr, max_order: int | None = None) -> FiniteGroup:
         raise
     except ValueError as exc:
         raise ExprError(str(exc), expr.span) from exc
-
-
-def _permutation_from_cycles(
-    degree: int, cycles: tuple[tuple[int, ...], ...]
-) -> Permutation:
-    images = list(range(degree))
-    seen: set[int] = set()
-    for cycle in cycles:
-        for i in cycle:
-            if not 0 <= i < degree:
-                raise ValueError(f"cycle entry {i} out of range for degree {degree}")
-            if i in seen:
-                raise ValueError(f"cycles are not disjoint: {i} repeats")
-            seen.add(i)
-        for k, i in enumerate(cycle):
-            images[i] = cycle[(k + 1) % len(cycle)]
-    return Permutation(tuple(images))
 
 
 def _family(expr: Family, max_order: int | None) -> FiniteGroup:
@@ -356,30 +337,16 @@ def _family(expr: Family, max_order: int | None) -> FiniteGroup:
 
 def _permutation_family(name: str, n: int, max_order: int | None) -> FiniteGroup:
     label = f"{name}({n})"
-    gens: list[Permutation] = []
+    cycles: list[tuple[int, ...]] = []
     if name == "S":
         if n >= 2:
-            gens.append(_transposition(n, 0, 1))
+            cycles.append((0, 1))
         if n >= 3:
-            gens.append(Permutation(tuple(list(range(1, n)) + [0])))
+            cycles.append(tuple(range(n)))
     else:
         if n >= 3:
-            gens.append(_three_cycle(n))
-        if n >= 4:
-            if n % 2:
-                gens.append(Permutation(tuple(list(range(1, n)) + [0])))
-            else:
-                gens.append(Permutation(tuple([0] + list(range(2, n)) + [1])))
+            cycles.append((0, 1, 2))
+        if n >= 4:  # the longest cycle of odd length, an even permutation
+            cycles.append(tuple(range(1 - n % 2, n)))
+    gens = [Permutation.from_cycles([c], n) for c in cycles]
     return from_generators(n, gens, max_order=max_order, label=label)
-
-
-def _transposition(degree: int, a: int, b: int) -> Permutation:
-    images = list(range(degree))
-    images[a], images[b] = images[b], images[a]
-    return Permutation(tuple(images))
-
-
-def _three_cycle(degree: int) -> Permutation:
-    images = list(range(degree))
-    images[0], images[1], images[2] = 1, 2, 0
-    return Permutation(tuple(images))

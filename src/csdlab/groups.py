@@ -19,6 +19,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import GuardrailExceeded
 from .intmath import factorize, is_prime, multiplicative_order
@@ -192,37 +193,38 @@ class Permutation:
         return cls(tuple(range(degree)))
 
     @classmethod
-    def from_cycles(cls, text: str, degree: int) -> Permutation:
-        """Parse disjoint cycle notation, e.g. "(0 1)(2 3)"; fixed points omitted.
+    def from_cycles(cls, cycles: str | Sequence[Sequence[int]], degree: int) -> Permutation:
+        """Build from disjoint cycles: notation such as "(0 1)(2 3)", or a
+        sequence of cycles such as ((0, 1), (2, 3)); fixed points omitted.
 
         "()" denotes the identity. Repeated indices across cycles are
         rejected (cycles must be disjoint).
         """
+        if isinstance(cycles, str):
+            text, cycles = cycles, []
+            s = text.strip()
+            if not s:
+                raise ValueError("empty cycle string")
+            pos = 0
+            while pos < len(s):
+                if s[pos].isspace():
+                    pos += 1
+                    continue
+                if s[pos] != "(":
+                    raise ValueError(f"expected '(' at position {pos} in cycle string {text!r}")
+                end = s.find(")", pos)
+                if end < 0:
+                    raise ValueError(f"unclosed cycle in {text!r}")
+                cycles.append([int(tok) for tok in s[pos + 1 : end].split()])
+                pos = end + 1
         images = list(range(degree))
         seen: set[int] = set()
-        s = text.strip()
-        if not s:
-            raise ValueError("empty cycle string")
-        pos = 0
-        while pos < len(s):
-            if s[pos].isspace():
-                pos += 1
-                continue
-            if s[pos] != "(":
-                raise ValueError(f"expected '(' at position {pos} in cycle string {text!r}")
-            end = s.find(")", pos)
-            if end < 0:
-                raise ValueError(f"unclosed cycle in {text!r}")
-            body = s[pos + 1 : end].split()
-            pos = end + 1
-            if not body:
-                continue  # "()" = identity cycle
-            cycle = [int(tok) for tok in body]
+        for cycle in cycles:
             for i in cycle:
                 if not 0 <= i < degree:
                     raise ValueError(f"cycle entry {i} out of range for degree {degree}")
                 if i in seen:
-                    raise ValueError(f"cycles are not disjoint: {i} repeats in {text!r}")
+                    raise ValueError(f"cycles are not disjoint: {i} repeats")
                 seen.add(i)
             for k, i in enumerate(cycle):
                 images[i] = cycle[(k + 1) % len(cycle)]
@@ -379,30 +381,31 @@ def derived_subgroup(group: FiniteGroup) -> Subgroup:
     return generated_subgroup(group, comms)
 
 
-def _conjugation_maps(group: FiniteGroup) -> list[list[int]]:
-    """The maps x -> g^-1 x g for a greedy generating set of the group.
+def _conjugation_maps(group: FiniteGroup, within: int | None = None) -> list[list[int]]:
+    """The maps x -> g^-1 x g for a greedy generating set of the group,
+    or of its subgroup with mask ``within``.
 
     Each generator is the least element outside the subgroup generated
     by the earlier ones, so there are at most log2(order) of them. The
     orbits of these maps, on elements or on subgroups, are the orbits of
-    conjugation by the whole group. Identity maps (central generators)
-    are left out, so an abelian group gets none. Computed once per group
-    and kept on it.
+    conjugation by the whole (sub)group. Maps that fix the (sub)group
+    pointwise are left out, so an abelian one gets none. The maps of the
+    whole group are computed once and kept on it.
     """
-    if group._conj_maps is None:
-        t = group.table
-        inv = group.inverse
-        elements = list(range(group.order))
-        gens: list[int] = []
-        mask = 1
-        full = (1 << group.order) - 1
-        while mask != full:
-            g = ((mask + 1) & ~mask).bit_length() - 1  # least element outside
-            gens.append(g)
-            mask = generated_mask(group, gens)
-        maps = [[t[t[inv[g]][x]][g] for x in elements] for g in gens]
-        group._conj_maps = [c for c in maps if c != elements]
-    return group._conj_maps
+    if within is None:
+        if group._conj_maps is None:
+            group._conj_maps = _conjugation_maps(group, (1 << group.order) - 1)
+        return group._conj_maps
+    t = group.table
+    inv = group.inverse
+    elements = Subgroup(group, within).elems
+    gens: list[int] = []
+    mask = 1
+    while mask != within:
+        gens.append(next(x for x in elements if not (mask >> x) & 1))
+        mask = generated_mask(group, gens)
+    maps = [[t[t[inv[g]][x]][g] for x in range(group.order)] for g in gens]
+    return [c for c in maps if any(c[x] != x for x in elements)]
 
 
 def is_abelian(group: FiniteGroup) -> bool:

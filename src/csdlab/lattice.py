@@ -6,10 +6,13 @@ subgroups, each subgroup H is extended by the prime-power elements g
 with g^p in H, and <H, g> is closed as a union of cosets of H (see
 subgroup_lattice for why this finds every subgroup). Collections are
 ordered by (size, mask value) so every enumeration is deterministic.
+The sections H/N and their csd are walked inside the lattice of G by the
+correspondence theorem (_section_degrees), with no quotient table.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator
 
 from .errors import GuardrailExceeded
@@ -187,10 +190,12 @@ def is_normal(sub: Subgroup) -> bool:
     Invariance under conjugation by each generator of the group decides
     it, so the at most log2|G| maps of ``_conjugation_maps`` are tested.
     """
-    mask = sub.members
-    return all(
-        (mask >> c[x]) & 1 for c in _conjugation_maps(sub.group) for x in sub.elems
-    )
+    return _invariant(sub.members, sub.elems, _conjugation_maps(sub.group))
+
+
+def _invariant(mask: int, elems, maps) -> bool:
+    """True iff every map sends every element of the subgroup into it."""
+    return all((mask >> c[x]) & 1 for c in maps for x in elems)
 
 
 def normal_subgroups(
@@ -283,11 +288,18 @@ def count_permuting_pairs(subgroups) -> int:
     subs = list(subgroups)
     if not subs:
         return 0
+    return _count_pairs(subs, _conjugation_maps(subs[0].group))
+
+
+def _count_pairs(subs: list[Subgroup], maps) -> int:
+    """count_permuting_pairs for distinct subgroups of a subgroup K, closed
+    under conjugation by K, whose maps are ``maps``. An orbit of one is then
+    normal in K and permutes with every member."""
     group = subs[0].group
     position = {s.members: i for i, s in enumerate(subs)}
     if len(position) != len(subs):
         raise ValueError("subgroup collection has duplicates")
-    orbits = _conjugacy_orbits(subs, position, _conjugation_maps(group))
+    orbits = _conjugacy_orbits(subs, position, maps)
     normal = {o[0] for o in orbits if len(o) == 1}
     flat = [j for o in orbits for j in o]
     data = [(s.members, s.elems, s.size) for s in subs]
@@ -346,21 +358,67 @@ def sections(group: FiniteGroup, max_order: int | None = None) -> Iterator[Finit
     Isomorphic duplicates are not removed. Deterministic order: H in
     lattice order, then N in the lattice order of H.
     """
-    for h, normal in _section_pairs(group, max_order):
-        yield quotient(h, normal)
+    for h in _sections_lattice(group, max_order).subgroups:
+        hg = subgroup_as_group(h)
+        for normal in normal_subgroups(hg, max_order=hg.order):
+            yield quotient(hg, normal)
 
 
-def _section_pairs(
-    group: FiniteGroup, max_order: int | None = None
-) -> Iterator[tuple[FiniteGroup, Subgroup]]:
-    """(H as a group, N) for each section H/N, in the order of sections()."""
+def _sections_lattice(group: FiniteGroup, max_order: int | None = None) -> SubgroupLattice:
+    """The lattice of G, under the sections guardrail."""
     cap = DEFAULT_MAX_SECTIONS_ORDER if max_order is None else max_order
     if group.order > cap:
         raise GuardrailExceeded(
             f"order {group.order} exceeds sections max order {cap}"
         )
-    lat = subgroup_lattice(group, max_order=group.order)
-    for h in lat.subgroups:
-        hg = subgroup_as_group(h)
-        for normal in normal_subgroups(hg, max_order=hg.order):
-            yield hg, normal
+    return subgroup_lattice(group, max_order=group.order)
+
+
+def _section_degrees(
+    lat: SubgroupLattice, quotients: bool = True
+) -> Iterator[tuple[Subgroup, Subgroup, Fraction]]:
+    """(H, N, csd(H/N)) for each section H/N of the lattice's group G, in
+    the order of sections(); only the N = 1 rows if ``quotients`` is False.
+
+    Everything is computed on G's table, by the correspondence theorem.
+    The cyclic subgroups of H/N are the N<g>/N for g in H, and two of them
+    permute iff N<g> and N<g'> permute in G; N<g> is in G's lattice. So
+    their permuting pairs are counted with H's conjugation maps and no
+    quotient table. If csd(H) = 1, H is Iwasawa, and so is every quotient
+    of H: its other rows are 1 without counting. Only the N = 1 row shows
+    this; csd(H/N) = 1 says nothing about H/M for M not containing N.
+    """
+    group = lat.group
+    t = group.table
+    n = group.order
+    full = (1 << n) - 1
+    largest_proper = n // min(factorize(n), default=1)
+    cyclic = [
+        (c, max(c.elems, key=group.elem_order.__getitem__))
+        for c in cyclic_subgroups(group, max_order=n)
+    ]
+    subs = lat.subgroups
+    by_mask = {s.members: s for s in subs}
+    for i, h in enumerate(subs):
+        mh = h.members
+        maps = _conjugation_maps(group, mh)
+        inside = [(c, g) for c, g in cyclic if c.members & mh == c.members]
+        m = len(inside)
+        csd_h = Fraction(_count_pairs([c for c, _ in inside], maps), m * m)
+        yield h, subs[0], csd_h
+        if not quotients:
+            continue
+        for nsub in subs[1 : i + 1]:
+            mn = nsub.members
+            if mn & mh != mn or not _invariant(mn, nsub.elems, maps):
+                continue
+            if csd_h == 1:  # H is Iwasawa, and so is H/N
+                yield h, nsub, csd_h
+                continue
+            # g normalises N, so N<g> is the union of the cosets N*g^k
+            images = {
+                _coset_closure(t, mn, nsub.elems, (g,), largest_proper, full)
+                for _, g in inside
+            }
+            count = _count_pairs([by_mask[k] for k in images], maps)
+            yield h, nsub, Fraction(count, len(images) ** 2)

@@ -224,6 +224,13 @@ def test_verify_dihedral(capsys):
     assert lines[1].startswith("m=2,")
 
 
+def test_verify_dihedral_skips_out_of_domain(capsys):
+    code, out, _ = run(capsys, ["verify", "dihedral", "1..3", "--format", "csv"])
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["m=2", "m=3"]
+
+
 def test_verify_quaternion(capsys):
     code, out, _ = run(capsys, ["verify", "quaternion", "3..6", "--format", "csv"])
     assert code == 0

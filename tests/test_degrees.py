@@ -115,6 +115,10 @@ def test_csd_star():
     # the order-8 dihedral group, which drags the section minimum down
     assert csd_star(G("Q(16)")) == Fraction(41, 49)
     assert csd_star(G("Q(8)")) == 1
+    # found by enumerating every quotient table (sections() and csd)
+    assert csd_star(G("Z(4)xQ(8)")) == Fraction(5, 6)
+    assert csd_star(G("Z(3)xS(3)")) == Fraction(85, 121)
+    assert csd_star(G("S(4)")) == Fraction(7, 16)
 
 
 def test_csd_star_at_most_csd(corpus):

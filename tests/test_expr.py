@@ -108,6 +108,10 @@ def test_expr_error_carries_span():
     with pytest.raises(ExprError) as info:
         evaluate(parse("Z(3)xD(7)"))
     assert info.value.span == (5, 9)
+    with pytest.raises(ExprError) as info:
+        evaluate(parse("Z(2)xPerm(3; (0 1)(1 2))"))
+    assert info.value.span == (5, 24)
+    assert "cycles are not disjoint: 1 repeats" in str(info.value)
 
 
 def test_guardrail_passes_through():

@@ -317,6 +317,12 @@ def test_permutation_cycles_round_trip():
     assert Permutation.from_cycles(q.to_cycles(), 3) == q
     with pytest.raises(ValueError):
         Permutation.from_cycles("(0 1)(1 2)", 3)
+    # the same constructor takes the cycles as sequences
+    assert Permutation.from_cycles([(0, 1), (2, 3)], 4) == p
+    assert Permutation.from_cycles([], 3).images == (0, 1, 2)
+    for bad in ([(0, 1), (1, 2)], [(0, 3)]):
+        with pytest.raises(ValueError):
+            Permutation.from_cycles(bad, 3)
 
 
 def test_direct_product_structure():

@@ -15,9 +15,12 @@ from csdlab.groups import (
     from_generators,
     generated_mask,
     quasidihedral,
+    subgroup_as_group,
     trivial_subgroup,
 )
 from csdlab.lattice import (
+    _section_degrees,
+    _sections_lattice,
     c1,
     count_permuting_pairs,
     cyclic_subgroups,
@@ -29,6 +32,7 @@ from csdlab.lattice import (
     subgroup_lattice,
 )
 from oracle import (
+    brute_csd,
     brute_cyclic_subgroups,
     brute_normals,
     brute_permutes,
@@ -264,6 +268,28 @@ def test_sd32_has_sd16_quotient_and_q8_section():
     q8_census = (1, 2, 4, 4, 4, 4, 4, 4)
     censuses = {tuple(sorted(s.elem_order)) for s in sections(group)}
     assert q8_census in censuses
+
+
+# Not Iwasawa, but with Iwasawa subgroups and quotients. In Z(4)xQ(8)
+# and Z(3)xS(3) some H has a row H/N of csd 1 (N != 1) followed by a row
+# below 1, so pruning on any csd-1 row, not only N = 1, would show here.
+@pytest.mark.parametrize(
+    "text", ["Z(4)xQ(8)", "Z(3)xS(3)", "S(4)", "SD(16)", "D(64)", "A(5)xZ(2)"]
+)
+def test_section_degrees_match_quotients_row_by_row(text):
+    group = evaluate(parse(text))
+    rows = list(_section_degrees(_sections_lattice(group)))
+    quotients = list(sections(group))
+    assert len(rows) == len(quotients)
+    for (h, normal, value), q in zip(rows, quotients):
+        inner = sum(1 << i for i, e in enumerate(h.elems) if normal.contains(e))
+        assert is_normal(Subgroup(subgroup_as_group(h), inner))
+        assert q.order == h.size // normal.size
+        assert value == csd(q, max_order=q.order) == brute_csd(q), (h, normal)
+    own = [value for h, normal, value in rows if normal.size == 1]
+    lone = [value for _, _, value in _section_degrees(_sections_lattice(group), False)]
+    assert lone == own
+    assert len(own) == len(subgroup_lattice(group))
 
 
 def test_guardrails():
