@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -36,8 +35,8 @@ from .formulas import (
     csd_semidihedral,
 )
 from .groups import (
-    DEFAULT_MAX_ORDER,
     FiniteGroup,
+    _cap,
     cyclic,
     dihedral,
     direct_product,
@@ -94,6 +93,7 @@ def _map_tasks(worker, tasks: list, jobs: int) -> list:
     worker up front.
     """
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(worker, tasks))
     return [worker(t) for t in tasks]
@@ -246,7 +246,7 @@ def _verify_cases(family: str, value: int, caps: Caps):
             )
     elif family == "pgroup":
         if value >= 2:
-            limit = cap if cap is not None else DEFAULT_MAX_ORDER
+            limit = _cap(cap)
             for p in primes_in(3, limit):
                 if p ** (value - 1) > limit:
                     continue

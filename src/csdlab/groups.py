@@ -27,8 +27,16 @@ from .intmath import factorize, is_prime, multiplicative_order
 DEFAULT_MAX_ORDER = 512
 
 
-def _cap(max_order: int | None) -> int:
-    return DEFAULT_MAX_ORDER if max_order is None else max_order
+def _cap(max_order: int | None, default: int = DEFAULT_MAX_ORDER) -> int:
+    return default if max_order is None else max_order
+
+
+def _check_order(
+    order: int, max_order: int | None, default: int = DEFAULT_MAX_ORDER, kind: str = "max order"
+) -> None:
+    cap = _cap(max_order, default)
+    if order > cap:
+        raise GuardrailExceeded(f"order {order} exceeds {kind} {cap}")
 
 
 class FiniteGroup:
@@ -42,8 +50,8 @@ class FiniteGroup:
         elem_order: elem_order[a] is the least k >= 1 with a^k = identity.
         label: descriptive name, e.g. "D(8)" or "Z(4)xQ(8)".
 
-    Instances are never mutated after construction, apart from private
-    caches of derived data, and are safe to share across workers.
+    Never mutated after construction, apart from private caches of ints (``_abelian``,
+    ``_conj_maps``, ``_cyclic_masks``, ``_lattice_masks``); safe to share across workers.
     """
 
     __slots__ = (
@@ -55,6 +63,8 @@ class FiniteGroup:
         "label",
         "_abelian",
         "_conj_maps",
+        "_cyclic_masks",
+        "_lattice_masks",
     )
 
     def __init__(self, table: list[list[int]], label: str):
@@ -83,6 +93,8 @@ class FiniteGroup:
         self.label = label
         self._abelian: bool | None = None
         self._conj_maps: list[list[int]] | None = None
+        self._cyclic_masks: tuple[int, ...] | None = None
+        self._lattice_masks: tuple[int, ...] | None = None
 
     def mul(self, a: int, b: int) -> int:
         """Product of elements a and b (table lookup)."""
@@ -526,8 +538,7 @@ def cyclic(n: int, max_order: int | None = None) -> FiniteGroup:
     """Cyclic group of order n under addition mod n."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    if n > _cap(max_order):
-        raise GuardrailExceeded(f"order {n} exceeds max order {_cap(max_order)}")
+    _check_order(n, max_order)
     return _metacyclic(n, 1, [1], 0, f"Z({n})")
 
 
@@ -538,8 +549,7 @@ def elementary_abelian(p: int, k: int, max_order: int | None = None) -> FiniteGr
     if k < 1:
         raise ValueError(f"elementary abelian rank must be >= 1, got {k}")
     n = p**k
-    if n > _cap(max_order):
-        raise GuardrailExceeded(f"order {n} exceeds max order {_cap(max_order)}")
+    _check_order(n, max_order)
     elems = list(itertools.product(range(p), repeat=k))
     index = {v: i for i, v in enumerate(elems)}
 
@@ -555,8 +565,7 @@ def dihedral(m: int, max_order: int | None = None) -> FiniteGroup:
     """Dihedral group of order 2m: rotations x^i (indices 0..m-1), reflections x^i y (m..2m-1)."""
     if m < 2:
         raise ValueError(f"dihedral parameter must be >= 2, got {m}")
-    if 2 * m > _cap(max_order):
-        raise GuardrailExceeded(f"order {2 * m} exceeds max order {_cap(max_order)}")
+    _check_order(2 * m, max_order)
     return _metacyclic(m, 2, [1, m - 1], 0, f"D({2 * m})")
 
 
@@ -569,8 +578,7 @@ def generalized_quaternion(n: int, max_order: int | None = None) -> FiniteGroup:
     if n < 3:
         raise ValueError(f"generalized quaternion needs n >= 3, got {n}")
     size = 2**n
-    if size > _cap(max_order):
-        raise GuardrailExceeded(f"order {size} exceeds max order {_cap(max_order)}")
+    _check_order(size, max_order)
     m = size // 2
     return _metacyclic(m, 2, [1, m - 1], size // 4, f"Q({size})")
 
@@ -580,8 +588,7 @@ def quasidihedral(n: int, max_order: int | None = None) -> FiniteGroup:
     if n < 4:
         raise ValueError(f"quasidihedral needs n >= 4, got {n}")
     size = 2**n
-    if size > _cap(max_order):
-        raise GuardrailExceeded(f"order {size} exceeds max order {_cap(max_order)}")
+    _check_order(size, max_order)
     m = size // 2
     return _metacyclic(m, 2, [1, size // 4 - 1], 0, f"SD({size})")
 
@@ -596,8 +603,7 @@ def modular_group_M(p: int, n: int, max_order: int | None = None) -> FiniteGroup
     if n < 3 or (p == 2 and n < 4):
         raise ValueError(f"modular group needs p^n >= p^3 (n >= 4 for p = 2), got p={p}, n={n}")
     size = p**n
-    if size > _cap(max_order):
-        raise GuardrailExceeded(f"order {size} exceeds max order {_cap(max_order)}")
+    _check_order(size, max_order)
     m = p ** (n - 1)
     c = 1 + p ** (n - 2)
     cinv = pow(c, -1, m)  # left-moving multiplier so that y^-1 x y = x^c holds
@@ -623,8 +629,7 @@ def zm_group(m: int, n: int, r: int, max_order: int | None = None) -> FiniteGrou
         if math.gcd(m, n * (r - 1)) != 1:
             raise ValueError(f"gcd(m, n(r-1)) must be 1, got m={m}, n={n}, r={r}")
     size = m * n
-    if size > _cap(max_order):
-        raise GuardrailExceeded(f"order {size} exceeds max order {_cap(max_order)}")
+    _check_order(size, max_order)
     mult = [pow(r, s, m) for s in range(n)]
     return _metacyclic(m, n, mult, 0, f"ZM({m},{n},{r})")
 
@@ -651,8 +656,7 @@ def p_group_P(
     if not is_prime(q) or (p - 1) % q != 0:
         raise ValueError(f"q must be a prime divisor of p-1, got p={p}, q={q}")
     size = p ** (n - 1) * q
-    if size > _cap(max_order):
-        raise GuardrailExceeded(f"order {size} exceeds max order {_cap(max_order)}")
+    _check_order(size, max_order)
     if action_power is None:
         r = next(
             a for a in range(2, p) if multiplicative_order(a, p) == q
@@ -687,8 +691,7 @@ def heisenberg_E(p: int, max_order: int | None = None) -> FiniteGroup:
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime, got {p}")
     size = p**3
-    if size > _cap(max_order):
-        raise GuardrailExceeded(f"order {size} exceeds max order {_cap(max_order)}")
+    _check_order(size, max_order)
     elems = list(itertools.product(range(p), repeat=3))
     index = {v: i for i, v in enumerate(elems)}
 
@@ -741,8 +744,7 @@ def direct_product(
 ) -> FiniteGroup:
     """Componentwise product; element (a, b) has index a*|h| + b."""
     size = g.order * h.order
-    if size > _cap(max_order):
-        raise GuardrailExceeded(f"order {size} exceeds max order {_cap(max_order)}")
+    _check_order(size, max_order)
     ho = h.order
     table = []
     for grow in g.table:

@@ -6,6 +6,8 @@ subgroups, each subgroup H is extended by the prime-power elements g
 with g^p in H, and <H, g> is closed as a union of cosets of H (see
 subgroup_lattice for why this finds every subgroup). Collections are
 ordered by (size, mask value) so every enumeration is deterministic.
+Each group is enumerated once: its cyclic-poset and lattice masks are
+kept on it as ints, and each call builds fresh Subgroups from them.
 The sections H/N and their csd are walked inside the lattice of G by the
 correspondence theorem (_section_degrees), with no quotient table.
 """
@@ -15,10 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import GuardrailExceeded
 from .groups import (
+    DEFAULT_MAX_ORDER,
     FiniteGroup,
     Subgroup,
+    _check_order,
     _conjugation_maps,
     _mask_of,
     quotient,
@@ -26,7 +29,6 @@ from .groups import (
 )
 from .intmath import factorize, prime_power
 
-DEFAULT_MAX_ORDER = 512          # cyclic-poset operations
 DEFAULT_MAX_LATTICE_ORDER = 256  # full-lattice operations
 DEFAULT_MAX_SECTIONS_ORDER = 128  # section enumeration
 
@@ -56,22 +58,19 @@ CyclicPoset = SubgroupLattice  # the collection cyclic_subgroups returns
 
 def cyclic_subgroups(group: FiniteGroup, max_order: int | None = None) -> CyclicPoset:
     """The poset of cyclic subgroups: every ⟨g⟩ for g in the group, deduplicated."""
-    cap = DEFAULT_MAX_ORDER if max_order is None else max_order
-    if group.order > cap:
-        raise GuardrailExceeded(
-            f"order {group.order} exceeds cyclic-poset max order {cap}"
-        )
-    t = group.table
-    seen: dict[int, int] = {}  # mask -> a generator element
-    for a in range(group.order):
-        mask = 1
-        x = a
-        while x != 0:
-            mask |= 1 << x
-            x = t[x][a]
-        seen.setdefault(mask, a)
-    masks = sorted(seen, key=lambda m: (m.bit_count(), m))
-    return CyclicPoset(group, [Subgroup(group, m) for m in masks])
+    _check_order(group.order, max_order, DEFAULT_MAX_ORDER, "cyclic-poset max order")
+    if group._cyclic_masks is None:
+        t = group.table
+        seen: set[int] = set()
+        for a in range(group.order):
+            mask = 1
+            x = a
+            while x != 0:
+                mask |= 1 << x
+                x = t[x][a]
+            seen.add(mask)
+        group._cyclic_masks = tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
+    return CyclicPoset(group, [Subgroup(group, m) for m in group._cyclic_masks])
 
 
 def subgroup_lattice(group: FiniteGroup, max_order: int | None = None) -> SubgroupLattice:
@@ -103,11 +102,14 @@ def subgroup_lattice(group: FiniteGroup, max_order: int | None = None) -> Subgro
     The trivial subgroup is not extended: its extensions are the cyclic
     subgroups the worklist starts from.
     """
-    cap = DEFAULT_MAX_LATTICE_ORDER if max_order is None else max_order
-    if group.order > cap:
-        raise GuardrailExceeded(
-            f"order {group.order} exceeds lattice max order {cap}"
-        )
+    _check_order(group.order, max_order, DEFAULT_MAX_LATTICE_ORDER, "lattice max order")
+    if group._lattice_masks is None:
+        group._lattice_masks = _lattice_worklist(group)
+    return SubgroupLattice(group, [Subgroup(group, m) for m in group._lattice_masks])
+
+
+def _lattice_worklist(group: FiniteGroup) -> tuple[int, ...]:
+    """Masks of all subgroups, in (size, mask) order (see subgroup_lattice)."""
     n = group.order
     t = group.table
     full = (1 << n) - 1
@@ -149,8 +151,7 @@ def subgroup_lattice(group: FiniteGroup, max_order: int | None = None) -> Subgro
             mk = _coset_closure(t, mh, eh, gk, largest_proper, full)
             if mk not in known:
                 add_class(mk, gk)
-    masks = sorted(known, key=lambda m: (m.bit_count(), m))
-    return SubgroupLattice(group, [Subgroup(group, m) for m in masks])
+    return tuple(sorted(known, key=lambda m: (m.bit_count(), m)))
 
 
 def _prime_power_roots(group: FiniteGroup) -> list[int]:
@@ -366,11 +367,7 @@ def sections(group: FiniteGroup, max_order: int | None = None) -> Iterator[Finit
 
 def _sections_lattice(group: FiniteGroup, max_order: int | None = None) -> SubgroupLattice:
     """The lattice of G, under the sections guardrail."""
-    cap = DEFAULT_MAX_SECTIONS_ORDER if max_order is None else max_order
-    if group.order > cap:
-        raise GuardrailExceeded(
-            f"order {group.order} exceeds sections max order {cap}"
-        )
+    _check_order(group.order, max_order, DEFAULT_MAX_SECTIONS_ORDER, "sections max order")
     return subgroup_lattice(group, max_order=group.order)
 
 

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import csdlab
 from csdlab.cli import main
 
 HEADER = "group,order,l1,lattice,csd,sd,ndeg,cdeg,d,csd_star,is_iwasawa,wall_ms"
@@ -104,7 +108,7 @@ def test_pool_has_at_most_one_worker_per_task(capsys, monkeypatch, tmp_path):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr("csdlab.cli.ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
     batch = tmp_path / "batch.json"
     batch.write_text(json.dumps([{"group": "Z(3)"}, {"group": "S(3)"}]))
     code, out_batch, _ = run(capsys, ["compute", "--batch", str(batch), "--jobs", "8"])
@@ -115,6 +119,19 @@ def test_pool_has_at_most_one_worker_per_task(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert sizes == [2, 3, 2]
     assert "S(3)" in out_batch and "41/49" in out_scan
+
+
+def test_cli_import_loads_no_process_pool():
+    src = str(Path(csdlab.__file__).resolve().parents[1])
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import csdlab.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_batch_file(capsys, tmp_path):

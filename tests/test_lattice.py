@@ -1,8 +1,9 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from csdlab.degrees import csd
+from csdlab.degrees import csd, csd_star, sd
 from csdlab.errors import GuardrailExceeded
 from csdlab.expr import evaluate, parse
 from csdlab.formulas import tau
@@ -11,8 +12,10 @@ from csdlab.groups import (
     Subgroup,
     cyclic,
     dihedral,
+    direct_product,
     elementary_abelian,
     from_generators,
+    generalized_quaternion,
     generated_mask,
     quasidihedral,
     subgroup_as_group,
@@ -300,3 +303,36 @@ def test_guardrails():
     with pytest.raises(GuardrailExceeded):
         list(sections(cyclic(200, max_order=200)))
     assert len(cyclic_subgroups(cyclic(600, max_order=600), max_order=600)) == tau(600)
+
+
+def test_guardrails_hold_on_a_warm_cache():
+    group = direct_product(cyclic(4), generalized_quaternion(3))
+    n = group.order
+    for enumerate_, kind in ((subgroup_lattice, "lattice"), (cyclic_subgroups, "cyclic-poset")):
+        enumerate_(group, max_order=n)
+        with pytest.raises(GuardrailExceeded, match=f"^order {n} exceeds {kind} max order {n - 1}$"):
+            enumerate_(group, max_order=n - 1)
+    csd_star(group, max_order=n)
+    with pytest.raises(GuardrailExceeded, match=f"^order {n} exceeds sections max order {n - 1}$"):
+        csd_star(group, max_order=n - 1)
+
+
+def test_each_call_builds_fresh_subgroups_from_cached_ints():
+    group = dihedral(6)
+    for enumerate_ in (subgroup_lattice, cyclic_subgroups):
+        first, second = enumerate_(group), enumerate_(group)
+        assert first is not second
+        assert [s.members for s in first] == [s.members for s in second]
+        assert all(a is not b for a, b in zip(first, second))
+    for masks in (group._lattice_masks, group._cyclic_masks):
+        assert type(masks) is tuple and all(type(m) is int for m in masks)
+
+
+def test_enumeration_keeps_no_reference_to_the_group():
+    # a cached object that held the group would make a reference cycle,
+    # keeping the Cayley table alive until the cyclic collector runs
+    group = direct_product(cyclic(3), dihedral(3))
+    before = sys.getrefcount(group)
+    for degree in (subgroup_lattice, cyclic_subgroups, sd, csd_star):
+        degree(group)
+        assert sys.getrefcount(group) == before, degree.__name__
