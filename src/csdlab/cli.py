@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 from .degrees import cdeg, csd, csd_star, d, is_iwasawa, ndeg, sd
 from .errors import GuardrailExceeded
-from .expr import ExprError, ParseError, evaluate, parse
+from .expr import evaluate, parse
 from .formulas import (
     csd_E_p3,
     csd_dihedral,
@@ -299,68 +299,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # scan
 
 
-def _scan_eq_task(task: tuple[str, Caps]) -> list[dict[str, object]]:
-    text, caps = task
-    try:
-        group = _evaluate(text, caps)
-        csd_v = csd(group, max_order=group.order)
-        sd_v = sd(group, max_order=caps.lattice)
-    except GuardrailExceeded:
-        return [{"group": text, "csd": None, "sd": None, "status": "skipped"}]
+def _scan_eq_task(text: str, caps: Caps) -> list[dict[str, object]]:
+    group = _evaluate(text, caps)
+    csd_v = csd(group, max_order=group.order)
+    sd_v = sd(group, max_order=caps.lattice)
     if csd_v == sd_v != 1:
         return [{"group": text, "csd": csd_v, "sd": sd_v, "status": "match"}]
     return []
 
 
-def _scan_monotonicity_task(task: tuple[str, Caps]) -> list[dict[str, object]]:
-    text, caps = task
+def _scan_monotonicity_task(text: str, caps: Caps) -> list[dict[str, object]]:
+    group = _evaluate(text, caps)
+    lat = subgroup_lattice(group, max_order=caps.lattice)
+    values = [value for _, _, value in _section_degrees(lat, quotients=False)]
     out: list[dict[str, object]] = []
-    try:
-        group = _evaluate(text, caps)
-        lat = subgroup_lattice(group, max_order=caps.lattice)
-        values = [value for _, _, value in _section_degrees(lat, quotients=False)]
-        for j, outer in enumerate(lat.subgroups):
-            for i, inner in enumerate(lat.subgroups[:j]):
-                if inner.members & outer.members != inner.members:
-                    continue
-                if values[i] < values[j]:
-                    out.append(
-                        {
-                            "group": text,
-                            "h_index": i,
-                            "h_order": inner.size,
-                            "k_index": j,
-                            "k_order": outer.size,
-                            "csd_h": values[i],
-                            "csd_k": values[j],
-                            "status": "pair",
-                        }
-                    )
-    except GuardrailExceeded:
-        return [
-            {
-                "group": text,
-                "h_index": None,
-                "h_order": None,
-                "k_index": None,
-                "k_order": None,
-                "csd_h": None,
-                "csd_k": None,
-                "status": "skipped",
-            }
-        ]
+    for j, outer in enumerate(lat.subgroups):
+        for i, inner in enumerate(lat.subgroups[:j]):
+            if inner.members & outer.members != inner.members:
+                continue
+            if values[i] < values[j]:
+                out.append(
+                    {
+                        "group": text,
+                        "h_index": i,
+                        "h_order": inner.size,
+                        "k_index": j,
+                        "k_order": outer.size,
+                        "csd_h": values[i],
+                        "csd_k": values[j],
+                        "status": "pair",
+                    }
+                )
     return out
 
 
-def _scan_star_task(task: tuple[str, Caps]) -> list[dict[str, object]]:
-    text, caps = task
-    try:
-        group = _evaluate(text, caps)
-        value = csd_star(group, max_order=caps.sections)
-    except GuardrailExceeded:
-        return [
-            {"group": text, "csd_star": None, "classification": "skipped", "eq_41_49": None}
-        ]
+def _scan_star_task(text: str, caps: Caps) -> list[dict[str, object]]:
+    group = _evaluate(text, caps)
+    value = csd_star(group, max_order=caps.sections)
     if value > IWASAWA_THRESHOLD:
         label = "iwasawa-certified"
     elif value > NILPOTENT_THRESHOLD:
@@ -377,22 +352,40 @@ def _scan_star_task(task: tuple[str, Caps]) -> list[dict[str, object]]:
     ]
 
 
+# mode -> (worker, output fields, the field that reads "skipped" when a guardrail trips)
 _SCAN_TASKS = {
-    "csd-eq-sd": (_scan_eq_task, ("group", "csd", "sd", "status")),
+    "csd-eq-sd": (_scan_eq_task, ("group", "csd", "sd", "status"), "status"),
     "monotonicity": (
         _scan_monotonicity_task,
         ("group", "h_index", "h_order", "k_index", "k_order", "csd_h", "csd_k", "status"),
+        "status",
     ),
-    "csd-star": (_scan_star_task, ("group", "csd_star", "classification", "eq_41_49")),
+    "csd-star": (
+        _scan_star_task,
+        ("group", "csd_star", "classification", "eq_41_49"),
+        "classification",
+    ),
 }
+
+
+def _scan_task(task: tuple[str, str, Caps]) -> list[dict[str, object]]:
+    """Rows of one scan group; a group over a guardrail gives one skipped row."""
+    mode, text, caps = task
+    worker, fields, skip = _SCAN_TASKS[mode]
+    try:
+        return worker(text, caps)
+    except GuardrailExceeded:
+        return [{**dict.fromkeys(fields), "group": text, skip: "skipped"}]
+
 
 _SCAN_DEGREE_FIELDS = ("csd", "sd", "csd_h", "csd_k", "csd_star")
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
-    worker, fields = _SCAN_TASKS[args.mode]
-    chunks = _map_tasks(worker, [(text, caps) for text in args.groups], args.jobs)
+    fields = _SCAN_TASKS[args.mode][1]
+    tasks = [(args.mode, text, caps) for text in args.groups]
+    chunks = _map_tasks(_scan_task, tasks, args.jobs)
     rows = [row for chunk in chunks for row in chunk]
     for row in rows:
         for name in _SCAN_DEGREE_FIELDS:
@@ -496,13 +489,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GuardrailExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ExprError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ParseError and ExprError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,8 +50,8 @@ class FiniteGroup:
         elem_order: elem_order[a] is the least k >= 1 with a^k = identity.
         label: descriptive name, e.g. "D(8)" or "Z(4)xQ(8)".
 
-    Never mutated after construction, apart from private caches of ints (``_abelian``,
-    ``_conj_maps``, ``_cyclic_masks``, ``_lattice_masks``); safe to share across workers.
+    Never mutated after construction, apart from private caches of ints (``_conj_maps``,
+    ``_cyclic_masks``, ``_lattice_masks``); safe to share across workers.
     """
 
     __slots__ = (
@@ -61,7 +61,6 @@ class FiniteGroup:
         "inverse",
         "elem_order",
         "label",
-        "_abelian",
         "_conj_maps",
         "_cyclic_masks",
         "_lattice_masks",
@@ -78,21 +77,22 @@ class FiniteGroup:
         for a in range(n):
             if row0[a] != a or self.table[a][0] != a:
                 raise ValueError(f"element 0 is not an identity in table for {label!r}")
-        inverse = [-1] * n
-        elem_order = [0] * n
-        for a in range(n):
-            inverse[a] = self.table[a].index(0)
+        # walk the powers of a; the last one before the identity is a^-1
+        t = self.table
+        inverse = [0] * n
+        elem_order = [1] * n
+        for a in range(1, n):
             x = a
-            k = 1
-            while x != 0:
-                x = self.table[x][a]
+            k = 2
+            while (y := t[x][a]) != 0:
+                x = y
                 k += 1
+            inverse[a] = x
             elem_order[a] = k
         self.inverse = tuple(inverse)
         self.elem_order = tuple(elem_order)
         self.label = label
-        self._abelian: bool | None = None
-        self._conj_maps: list[list[int]] | None = None
+        self._conj_maps: list[tuple[int, ...]] | None = None
         self._cyclic_masks: tuple[int, ...] | None = None
         self._lattice_masks: tuple[int, ...] | None = None
 
@@ -119,12 +119,8 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            t = self.table
-            self._abelian = all(
-                t[a][b] == t[b][a] for a in range(self.order) for b in range(a + 1, self.order)
-            )
-        return self._abelian
+        """True iff every generator is central, i.e. no conjugation map is left."""
+        return not _conjugation_maps(self)
 
     def __len__(self) -> int:
         return self.order
@@ -369,31 +365,30 @@ def full_subgroup(group: FiniteGroup) -> Subgroup:
 
 
 def center(group: FiniteGroup) -> Subgroup:
-    """Elements commuting with everything."""
-    t = group.table
-    n = group.order
-    mask = 0
-    for a in range(n):
-        ra = t[a]
-        if all(ra[b] == t[b][a] for b in range(n)):
-            mask |= 1 << a
-    return Subgroup(group, mask)
+    """Elements commuting with everything: those fixed by every conjugation map."""
+    fixed = range(group.order)
+    for c in _conjugation_maps(group):
+        fixed = [x for x in fixed if c[x] == x]
+    return Subgroup(group, _mask_of(fixed))
 
 
 def derived_subgroup(group: FiniteGroup) -> Subgroup:
-    """Closure of all commutators a^-1 b^-1 a b."""
+    """The subgroup K generated by the commutators [x, s] = x^-1 s^-1 x s,
+    for every x and every generator s of ``_conjugation_maps``.
+
+    K is the derived subgroup G'. It is normal, because
+    y^-1 [x, s] y = [xy, s] [y, s]^-1 lies in K for every y. Every
+    generator s is central modulo K (the generators without a map are
+    central in G), so G/K is abelian and K contains G'; K <= G' holds
+    since K is generated by commutators.
+    """
     t = group.table
     inv = group.inverse
-    n = group.order
-    comms = set()
-    for a in range(n):
-        ia = inv[a]
-        for b in range(n):
-            comms.add(t[t[t[ia][inv[b]]][a]][b])
+    comms = {t[inv[x]][c[x]] for c in _conjugation_maps(group) for x in range(group.order)}
     return generated_subgroup(group, comms)
 
 
-def _conjugation_maps(group: FiniteGroup, within: int | None = None) -> list[list[int]]:
+def _conjugation_maps(group: FiniteGroup, within: int | None = None) -> list[tuple[int, ...]]:
     """The maps x -> g^-1 x g for a greedy generating set of the group,
     or of its subgroup with mask ``within``.
 
@@ -409,15 +404,21 @@ def _conjugation_maps(group: FiniteGroup, within: int | None = None) -> list[lis
             group._conj_maps = _conjugation_maps(group, (1 << group.order) - 1)
         return group._conj_maps
     t = group.table
-    inv = group.inverse
-    elements = Subgroup(group, within).elems
     gens: list[int] = []
     mask = 1
     while mask != within:
-        gens.append(next(x for x in elements if not (mask >> x) & 1))
+        rest = within & ~mask
+        gens.append((rest & -rest).bit_length() - 1)
         mask = generated_mask(group, gens)
-    maps = [[t[t[inv[g]][x]][g] for x in range(group.order)] for g in gens]
-    return [c for c in maps if any(c[x] != x for x in elements)]
+    # x -> g^-1 x g is the row of g^-1 gathered through the column of g
+    maps = [operator.itemgetter(*t[group.inverse[g]])([row[g] for row in t]) for g in gens]
+    # a map fixes the (sub)group pointwise iff it fixes each generator
+    return [c for c in maps if any(c[h] != h for h in gens)]
+
+
+def _invariant(mask: int, elems, maps) -> bool:
+    """True iff every map sends every element of the subgroup into it."""
+    return all((mask >> c[x]) & 1 for c in maps for x in elems)
 
 
 def is_abelian(group: FiniteGroup) -> bool:
@@ -771,17 +772,9 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
     """Quotient by a normal subgroup; cosets indexed by minimal member, ascending."""
     if normal.group is not group:
         raise ValueError("subgroup belongs to a different group")
+    if not _invariant(normal.members, normal.elems, _conjugation_maps(group)):
+        raise ValueError("subgroup is not normal")
     t = group.table
-    inv = group.inverse
-    nmask = normal.members
-    for a in range(group.order):
-        row = t[a]
-        ia = inv[a]
-        conj = 0
-        for x in normal.elems:
-            conj |= 1 << t[row[x]][ia]
-        if conj != nmask:
-            raise ValueError("subgroup is not normal")
     coset_of = [-1] * group.order
     reps = []
     for a in range(group.order):

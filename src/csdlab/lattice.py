@@ -23,6 +23,7 @@ from .groups import (
     Subgroup,
     _check_order,
     _conjugation_maps,
+    _invariant,
     _mask_of,
     quotient,
     subgroup_as_group,
@@ -192,11 +193,6 @@ def is_normal(sub: Subgroup) -> bool:
     it, so the at most log2|G| maps of ``_conjugation_maps`` are tested.
     """
     return _invariant(sub.members, sub.elems, _conjugation_maps(sub.group))
-
-
-def _invariant(mask: int, elems, maps) -> bool:
-    """True iff every map sends every element of the subgroup into it."""
-    return all((mask >> c[x]) & 1 for c in maps for x in elems)
 
 
 def normal_subgroups(

@@ -9,6 +9,7 @@ genuine two-implementation check.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from csdlab.groups import FiniteGroup
@@ -45,13 +46,15 @@ def closure(table, seed) -> frozenset[int]:
     return frozenset(out)
 
 
-def brute_subgroups(group: FiniteGroup) -> set[frozenset[int]]:
+@lru_cache(maxsize=None)
+def brute_subgroups(group: FiniteGroup) -> frozenset[frozenset[int]]:
     """Every identity-containing product-closed subset, by exhaustive search.
 
     A product-closed subset of a finite group is a subgroup (powers of
     each element cycle back to the identity), so for orders above 16 the
     enumeration may skip subset sizes that do not divide the group order
-    without losing any closed subset.
+    without losing any closed subset. The search costs seconds at order
+    24, so each group's answer is kept for the rest of the session.
     """
     n = group.order
     table = group.table
@@ -66,7 +69,7 @@ def brute_subgroups(group: FiniteGroup) -> set[frozenset[int]]:
             members = frozenset((0, *combo))
             if is_closed(table, members):
                 found.add(members)
-    return found
+    return frozenset(found)
 
 
 def brute_cyclic_subgroups(group: FiniteGroup) -> set[frozenset[int]]:
@@ -121,6 +124,17 @@ def brute_center(group: FiniteGroup) -> frozenset[int]:
     n = group.order
     return frozenset(
         x for x in range(n) if all(table[x][g] == table[g][x] for g in range(n))
+    )
+
+
+def brute_derived(group: FiniteGroup) -> frozenset[int]:
+    """Closure of all |G|^2 commutators a^-1 b^-1 a b."""
+    table = group.table
+    inv = group.inverse
+    n = group.order
+    return closure(
+        table,
+        {table[table[table[inv[a]][inv[b]]][a]][b] for a in range(n) for b in range(n)},
     )
 
 

@@ -343,6 +343,13 @@ def test_scan_guardrail_rows_skipped(capsys):
     rows = out.splitlines()[1:]
     assert rows[0] == "Z(600),,skipped,"
     assert rows[1] == "D(8),41/49,nilpotent-certified,yes"
+    # Z(300) is inside the order cap but over the lattice cap of 256
+    code, out, _ = run(
+        capsys, ["scan", "monotonicity", "Z(300)", "D(8)", "--format", "csv"]
+    )
+    assert code == 0
+    # D(8) has no pair of nested subgroups whose csd rises
+    assert out.splitlines()[1:] == ["Z(300),,,,,,,skipped"]
 
 
 def test_lattice_dump(capsys):

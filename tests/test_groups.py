@@ -8,6 +8,7 @@ from csdlab.expr import evaluate, parse
 from csdlab.groups import (
     FiniteGroup,
     Permutation,
+    Subgroup,
     center,
     cyclic,
     derived_subgroup,
@@ -29,7 +30,13 @@ from csdlab.groups import (
     validate,
     zm_group,
 )
-from oracle import brute_center, brute_is_nilpotent
+from oracle import (
+    brute_center,
+    brute_derived,
+    brute_is_nilpotent,
+    brute_normals,
+    brute_subgroups,
+)
 
 CONSTRUCTED = [
     cyclic(1),
@@ -334,18 +341,22 @@ def test_direct_product_structure():
         direct_product(cyclic(30), cyclic(30), max_order=100)
 
 
-def test_center_matches_oracle():
+def test_center_matches_oracle(corpus):
     for group in (dihedral(4), generalized_quaternion(3), heisenberg_E(3), p_group_P(2, 3, 2)):
         assert frozenset(center(group).elems) == brute_center(group)
+    for text, group in corpus:
+        assert frozenset(center(group).elems) == brute_center(group), text
 
 
-def test_derived_subgroup():
+def test_derived_subgroup(corpus):
     s3 = p_group_P(2, 3, 2)
     der = derived_subgroup(s3)
     assert der.size == 3
     assert derived_subgroup(cyclic(12)).size == 1
     d8 = dihedral(4)
     assert derived_subgroup(d8).size == 2
+    for text, group in corpus:
+        assert frozenset(derived_subgroup(group).elems) == brute_derived(group), text
 
 
 def test_nilpotency_matches_oracle():
@@ -353,9 +364,13 @@ def test_nilpotency_matches_oracle():
         assert is_nilpotent(group) == brute_is_nilpotent(group), group.label
 
 
-def test_is_abelian():
+def test_is_abelian(corpus):
     assert is_abelian(cyclic(12))
     assert not is_abelian(dihedral(3))
+    for text, group in corpus:
+        t = group.table
+        pairwise = all(t[a][b] == t[b][a] for a in range(group.order) for b in range(a))
+        assert is_abelian(group) == group.is_abelian == pairwise, text
 
 
 def test_quotient_of_dihedral_by_center_is_klein():
@@ -366,7 +381,7 @@ def test_quotient_of_dihedral_by_center_is_klein():
     assert all(q.elem_order[x] <= 2 for x in range(4))
 
 
-def test_quotient_requires_normal():
+def test_quotient_requires_normal(small_corpus):
     s3 = p_group_P(2, 3, 2)
     reflection = next(x for x in range(6) if s3.elem_order[x] == 2)
     from csdlab.groups import generated_subgroup
@@ -374,6 +389,16 @@ def test_quotient_requires_normal():
     sub = generated_subgroup(s3, [reflection])
     with pytest.raises(ValueError):
         quotient(s3, sub)
+    # exactly the non-normal subgroups are refused
+    for text, group in small_corpus:
+        normals = brute_normals(group)
+        for members in brute_subgroups(group):
+            sub = Subgroup(group, sum(1 << x for x in members))
+            if members in normals:
+                assert quotient(group, sub).order == group.order // len(members), text
+            else:
+                with pytest.raises(ValueError, match="^subgroup is not normal$"):
+                    quotient(group, sub)
 
 
 def test_subgroup_as_group_reindexes():
