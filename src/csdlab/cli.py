@@ -35,6 +35,7 @@ from .formulas import (
     csd_semidihedral,
 )
 from .groups import (
+    DEFAULT_MAX_ORDER,
     FiniteGroup,
     _cap,
     cyclic,
@@ -46,8 +47,9 @@ from .groups import (
     quasidihedral,
 )
 from .intmath import is_prime, primes_in
+from .lattice import DEFAULT_MAX_LATTICE_ORDER, DEFAULT_MAX_SECTIONS_ORDER
 from .lattice import _section_degrees, _sections_lattice, cyclic_subgroups, subgroup_lattice
-from .reports import FORMATS, RunReport, degree_str, emit, emit_rows
+from .reports import FORMATS, RunReport, emit, emit_rows
 
 DEGREE_OPS = ("csd", "d", "sd", "ndeg", "cdeg", "lattice", "csd_star", "is_iwasawa")
 BASE_OPS = frozenset(("csd", "d"))
@@ -173,10 +175,22 @@ def _batch_tasks(args: argparse.Namespace, caps: Caps) -> list[tuple]:
     return tasks
 
 
+def _batch_report(task: tuple[int, tuple]) -> RunReport:
+    """`_compute_report` of batch entry i, with the entry named in its error."""
+    i, entry = task
+    try:
+        return _compute_report(entry)
+    except GuardrailExceeded as exc:
+        raise GuardrailExceeded(f"batch entry {i}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"batch entry {i}: {exc}") from exc
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
     if args.batch is not None:
-        reports = _map_tasks(_compute_report, _batch_tasks(args, caps), args.jobs)
+        tasks = list(enumerate(_batch_tasks(args, caps)))
+        reports = _map_tasks(_batch_report, tasks, args.jobs)
     else:
         ops = set(BASE_OPS)
         if args.all:
@@ -207,20 +221,16 @@ def _verify_rows(family: str, span: range, caps: Caps) -> list[dict[str, object]
     rows = []
     for value in span:
         for params, formula, build in _verify_cases(family, value, caps):
-            row: dict[str, object] = {"params": params, "formula": formula, "brute": None}
+            row: dict[str, object] = {"params": params, "formula": formula}
+            rows.append(row)
             try:
                 group = build()
-                brute = csd(group, max_order=group.order)
             except GuardrailExceeded:
                 row["match"] = "skipped"
-                rows.append(row)
                 continue
-            row["brute"] = brute
-            if family == "zq8bound":
-                row["match"] = "yes" if brute >= formula else "no"
-            else:
-                row["match"] = "yes" if brute == formula else "no"
-            rows.append(row)
+            brute = csd(group, max_order=group.order)
+            holds = brute >= formula if family == "zq8bound" else brute == formula
+            row.update(brute=brute, match="yes" if holds else "no")
     return rows
 
 
@@ -280,17 +290,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
     span = _parse_range(args.range)
     rows = _verify_rows(args.family, span, caps)
-    shaped = [
-        {
-            "params": row["params"],
-            "formula": degree_str(row["formula"], args.decimal),
-            "brute": degree_str(row["brute"], args.decimal),
-            "match": row["match"],
-        }
-        for row in rows
-    ]
     fields = ("params", "formula", "brute", "match")
-    sys.stdout.buffer.write(emit_rows(fields, shaped, args.format))
+    sys.stdout.buffer.write(emit_rows(fields, rows, args.format, args.decimal))
     failed = any(row["match"] == "no" for row in rows)
     return 1 if failed else 0
 
@@ -369,16 +370,15 @@ _SCAN_TASKS = {
 
 
 def _scan_task(task: tuple[str, str, Caps]) -> list[dict[str, object]]:
-    """Rows of one scan group; a group over a guardrail gives one skipped row."""
+    """Rows of one scan group: one skipped row over a guardrail, a bad group named in its error."""
     mode, text, caps = task
-    worker, fields, skip = _SCAN_TASKS[mode]
+    worker, _, skip = _SCAN_TASKS[mode]
     try:
         return worker(text, caps)
     except GuardrailExceeded:
-        return [{**dict.fromkeys(fields), "group": text, skip: "skipped"}]
-
-
-_SCAN_DEGREE_FIELDS = ("csd", "sd", "csd_h", "csd_k", "csd_star")
+        return [{"group": text, skip: "skipped"}]
+    except ValueError as exc:
+        raise ValueError(f"scan group {text!r}: {exc}") from exc
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -387,11 +387,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     tasks = [(args.mode, text, caps) for text in args.groups]
     chunks = _map_tasks(_scan_task, tasks, args.jobs)
     rows = [row for chunk in chunks for row in chunk]
-    for row in rows:
-        for name in _SCAN_DEGREE_FIELDS:
-            if name in row:
-                row[name] = degree_str(row[name], args.decimal)
-    sys.stdout.buffer.write(emit_rows(fields, rows, args.format))
+    sys.stdout.buffer.write(emit_rows(fields, rows, args.format, args.decimal))
     return 0
 
 
@@ -420,12 +416,12 @@ def cmd_sections(args: argparse.Namespace) -> int:
             "h_order": h.size,
             "n_order": normal.size,
             "order": h.size // normal.size,
-            "csd": degree_str(value, args.decimal),
+            "csd": value,
         }
         for h, normal, value in _section_degrees(lat)
     ]
     fields = ("h_order", "n_order", "order", "csd")
-    sys.stdout.buffer.write(emit_rows(fields, rows, args.format))
+    sys.stdout.buffer.write(emit_rows(fields, rows, args.format, args.decimal))
     return 0
 
 
@@ -438,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default="text")
     common.add_argument("--decimal", action="store_true", help="render degrees as 6-significant-digit decimals")
     common.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for batch entries and scan groups")
-    common.add_argument("--max-order", type=int, default=None, help="group order guardrail (default 512; env CSDLAB_MAX_ORDER)")
-    common.add_argument("--max-lattice-order", type=int, default=None, help="full-lattice guardrail (default 256)")
-    common.add_argument("--max-sections-order", type=int, default=None, help="sections guardrail (default 128)")
+    common.add_argument("--max-order", type=int, default=None, help=f"group order guardrail (default {DEFAULT_MAX_ORDER}; env CSDLAB_MAX_ORDER)")
+    common.add_argument("--max-lattice-order", type=int, default=None, help=f"full-lattice guardrail (default {DEFAULT_MAX_LATTICE_ORDER})")
+    common.add_argument("--max-sections-order", type=int, default=None, help=f"sections guardrail (default {DEFAULT_MAX_SECTIONS_ORDER})")
 
     parser = argparse.ArgumentParser(prog="csdlab", description="Cyclic subgroup commutativity degree laboratory")
     verbs = parser.add_subparsers(dest="verb", required=True)

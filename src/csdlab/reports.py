@@ -2,9 +2,10 @@
 
 A RunReport captures everything the compute command can say about one
 group. Tables are emitted as JSON (array of objects), CSV (header plus
-rows), or aligned text. Degrees are reduced fractions rendered as
-"num/den", or as 6-significant-digit decimals (round-half-even) when
-requested. Output is byte-identical across repeated runs.
+rows), or aligned text. `emit_rows` is the one place a degree becomes
+text: every `Fraction` cell is rendered as "num/den", or as a
+6-significant-digit decimal (round-half-even) when requested. Output is
+byte-identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -54,20 +55,10 @@ class RunReport:
 
     def cells(self, decimal: bool = False) -> dict[str, object]:
         """Field-name -> JSON-ready value, in REPORT_FIELDS order."""
-        return {
-            "group": self.group,
-            "order": self.order,
-            "l1": self.l1,
-            "lattice": self.lattice,
-            "csd": degree_str(self.csd, decimal),
-            "sd": degree_str(self.sd, decimal),
-            "ndeg": degree_str(self.ndeg, decimal),
-            "cdeg": degree_str(self.cdeg, decimal),
-            "d": degree_str(self.d, decimal),
-            "csd_star": degree_str(self.csd_star, decimal),
-            "is_iwasawa": self.is_iwasawa,
-            "wall_ms": None if self.wall_ms is None else round(self.wall_ms, 3),
-        }
+        cells = {name: _json_cell(getattr(self, name), decimal) for name in REPORT_FIELDS}
+        if self.wall_ms is not None:
+            cells["wall_ms"] = round(self.wall_ms, 3)
+        return cells
 
 
 def decimal_str(value: Fraction) -> str:
@@ -87,42 +78,42 @@ def degree_str(value: Fraction | None, decimal: bool = False) -> str | None:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _text_cell(value: object) -> str:
+def _json_cell(value: object, decimal: bool) -> object:
+    """A cell's JSON value: a Fraction is a degree and becomes its text."""
+    if isinstance(value, Fraction):
+        return degree_str(value, decimal)
+    return value
+
+
+def _flat_cell(value: object, absent: str) -> str:
+    """A JSON cell value as text or csv; `absent` marks a missing value."""
     if value is None:
-        return "-"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+        return absent
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return str(value)
 
 
-def _csv_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
+def emit_rows(
+    fields: Sequence[str], rows: Sequence[dict[str, object]], fmt: str, decimal: bool = False
+) -> bytes:
+    """Serialize rows (dicts over `fields`) as a deterministic table.
 
-
-def emit_rows(fields: Sequence[str], rows: Sequence[dict[str, object]], fmt: str) -> bytes:
-    """Serialize rows (dicts over `fields`) as a deterministic table."""
+    Fraction cells are degrees, rendered by `degree_str`; a missing key is
+    an absent value (null, an empty csv cell, or "-" in text).
+    """
+    shaped = [[_json_cell(row.get(name), decimal) for name in fields] for row in rows]
     if fmt == "json":
-        shaped = [{name: row.get(name) for name in fields} for row in rows]
-        return (json.dumps(shaped, indent=2) + "\n").encode()
+        objects = [dict(zip(fields, line)) for line in shaped]
+        return (json.dumps(objects, indent=2) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(name)) for name in fields])
+        writer.writerows([_flat_cell(cell, "") for cell in line] for line in shaped)
         return buf.getvalue().encode()
     if fmt == "text":
-        table = [list(fields)]
-        for row in rows:
-            table.append([_text_cell(row.get(name)) for name in fields])
+        table = [list(fields)] + [[_flat_cell(cell, "-") for cell in line] for line in shaped]
         widths = [max(len(line[i]) for line in table) for i in range(len(fields))]
         lines = [
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()

@@ -1,12 +1,17 @@
+import csv
+import io
 import json
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import csdlab
 from csdlab.cli import main
+from csdlab.reports import decimal_str
 
 HEADER = "group,order,l1,lattice,csd,sd,ndeg,cdeg,d,csd_star,is_iwasawa,wall_ms"
 
@@ -183,6 +188,35 @@ def test_batch_not_a_list_exit_2(capsys, tmp_path):
     batch.write_text('{"group": "Z(4)"}')
     code, _, _ = run(capsys, ["compute", "--batch", str(batch)])
     assert code == 2
+
+
+PARSE_ERROR = "expected ')', found 'end of input' (at position 3)"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "bad, code, message",
+    [
+        ({"group": "Q(8"}, 2, f"batch entry 1: {PARSE_ERROR}"),
+        ({"group": "Z(300)", "ops": ["all"]}, 3, "batch entry 1: order 300 exceeds lattice max order 256"),
+    ],
+    ids=["parse", "guardrail"],
+)
+def test_batch_bad_entry_is_named(capsys, tmp_path, jobs, bad, code, message):
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"group": "D(8)"}, bad]))
+    got, out, err = run(capsys, ["compute", "--batch", str(batch), "--jobs", jobs])
+    assert got == code
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_bad_group_is_named(capsys, jobs):
+    code, out, err = run(capsys, ["scan", "csd-star", "D(8)", "Q(8", "--jobs", jobs])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: scan group 'Q(8': {PARSE_ERROR}\n"
 
 
 def test_parse_error_exit_2(capsys):
@@ -387,3 +421,46 @@ def test_lattice_guardrail(capsys):
     capsys.readouterr()
     assert main(["lattice", "--group", "Z(300)", "--max-lattice-order", "400"]) == 0
     capsys.readouterr()
+
+
+def _table_cells(out, fmt):
+    """The cells of a rendered table, header row first, as strings or JSON values."""
+    if fmt == "json":
+        data = json.loads(out)
+        return [list(data[0])] + [list(row.values()) for row in data]
+    if fmt == "csv":
+        return list(csv.reader(io.StringIO(out)))
+    return [line.split() for line in out.splitlines()]
+
+
+# No small group has csd = sd != 1, so the csd-eq-sd rows hold no degree
+# cells; the case still checks that --decimal leaves its other cells alone.
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv, degrees",
+    [
+        (["scan", "csd-eq-sd", "S(3)", "Z(600)", "D(8)"], False),
+        (["scan", "monotonicity", "S(4)", "Z(300)"], True),
+        (["scan", "csd-star", "E(27)", "Z(600)", "Q(8)"], True),
+        (["verify", "dihedral", "1..6", "--max-order", "8"], True),
+        (["sections", "--group", "D(8)"], True),
+    ],
+    ids=["csd-eq-sd", "monotonicity", "csd-star", "verify", "sections"],
+)
+def test_decimal_renders_every_degree_cell(capsys, argv, degrees, fmt):
+    code, exact, _ = run(capsys, argv + ["--format", fmt])
+    assert code == 0
+    code, decimal, _ = run(capsys, argv + ["--format", fmt, "--decimal"])
+    assert code == 0
+    exact_rows, decimal_rows = _table_cells(exact, fmt), _table_cells(decimal, fmt)
+    assert len(exact_rows) == len(decimal_rows) > 1
+    seen = 0
+    for exact_row, decimal_row in zip(exact_rows, decimal_rows):
+        assert len(exact_row) == len(decimal_row)
+        for e, x in zip(exact_row, decimal_row):
+            if isinstance(e, str) and re.fullmatch(r"\d+/\d+", e):
+                assert x == decimal_str(Fraction(e))
+                seen += 1
+            else:
+                assert x == e
+    assert (seen > 0) == degrees

@@ -1,0 +1,51 @@
+"""README.md examples, checked against the real program."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from csdlab.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```(\w+)\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+
+
+def _cli_examples():
+    """(argv, shown stdout) for each `$ csdlab ...` line followed by output lines."""
+    examples = []
+    for lang, body in BLOCKS:
+        if lang != "sh":
+            continue
+        lines = body.splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith("$ csdlab "):
+                continue
+            shown = []
+            for follow in lines[i + 1 :]:
+                if follow.startswith("$ "):
+                    break
+                shown.append(follow)
+            if shown:
+                examples.append((shlex.split(line[len("$ csdlab ") :]), "\n".join(shown) + "\n"))
+    return examples
+
+
+CLI_EXAMPLES = _cli_examples()
+
+
+def test_readme_shows_cli_output():
+    shown = [" ".join(argv[:2]) for argv, _ in CLI_EXAMPLES]
+    assert shown == ["compute --group", "scan csd-star"]
+
+
+@pytest.mark.parametrize("argv, shown", CLI_EXAMPLES, ids=[" ".join(argv) for argv, _ in CLI_EXAMPLES])
+def test_readme_cli_example(capsys, argv, shown):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == shown
+
+
+def test_readme_python_api_example():
+    (code,) = [body for lang, body in BLOCKS if lang == "python"]
+    exec(compile(code, "README.md", "exec"), {})

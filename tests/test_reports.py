@@ -95,7 +95,17 @@ def test_emit_rows_rejects_unknown_format():
 
 
 def test_emit_rows_missing_keys_render_as_absent():
-    out = emit_rows(("a", "b"), [{"a": 1}], "csv").decode()
-    assert out.splitlines()[1] == "1,"
-    data = json.loads(emit_rows(("a", "b"), [{"a": 1}], "json"))
-    assert data[0]["b"] is None
+    fields = ("a", "b", "c", "d")
+    rows = [{"a": 1, "c": Fraction(41, 49), "d": True}]
+    out = emit_rows(fields, rows, "csv").decode()
+    assert out.splitlines()[1] == "1,,41/49,true"
+    out = emit_rows(fields, rows, "csv", decimal=True).decode()
+    assert out.splitlines()[1] == "1,,0.836735,true"
+    out = emit_rows(fields, rows, "text").decode()
+    assert out.splitlines()[1].split() == ["1", "-", "41/49", "true"]
+    out = emit_rows(fields, rows, "text", decimal=True).decode()
+    assert out.splitlines()[1].split() == ["1", "-", "0.836735", "true"]
+    data = json.loads(emit_rows(fields, rows, "json"))
+    assert data == [{"a": 1, "b": None, "c": "41/49", "d": True}]
+    data = json.loads(emit_rows(fields, rows, "json", decimal=True))
+    assert data == [{"a": 1, "b": None, "c": "0.836735", "d": True}]
