@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import FiniteGroup, Subgroup, _conjugation_maps
+from .groups import FiniteGroup, _check_order, _conjugation_maps
 from .lattice import (
+    DEFAULT_MAX_LATTICE_ORDER,
+    DEFAULT_MAX_SECTIONS_ORDER,
     _section_degrees,
-    _sections_lattice,
     count_permuting_pairs,
     cyclic_subgroups,
     is_normal,
@@ -93,23 +94,28 @@ def d(group: FiniteGroup) -> Degree:
 def is_iwasawa(group: FiniteGroup, max_order: int | None = None) -> bool:
     """True iff every pair of subgroups permutes (sd = 1).
 
-    Both sd and csd are computed; they must be 1 together, or the
-    lattice enumeration is internally inconsistent.
+    Decided as csd = 1, the paper's criterion: if H permutes with A and
+    with B, it permutes with <A, B>, so cyclic subgroups permuting
+    pairwise makes all subgroups permute. No lattice is built, but the
+    lattice guardrail applies, as to every other lattice property.
     """
-    sd_one = sd(group, max_order=max_order) == 1
-    csd_one = csd(group, max_order=group.order) == 1
-    if sd_one != csd_one:
-        raise RuntimeError(
-            f"internal inconsistency on {group.label}: sd=1 is {sd_one} "
-            f"but csd=1 is {csd_one}"
-        )
-    return sd_one
+    _check_order(group.order, max_order, DEFAULT_MAX_LATTICE_ORDER, "lattice max order")
+    return csd(group, max_order=group.order) == 1
 
 
 def csd_star(group: FiniteGroup, max_order: int | None = None) -> Degree:
-    """Minimum of csd over all sections H/N (the group itself included)."""
-    lat = _sections_lattice(group, max_order)
-    return min(value for _, _, value in _section_degrees(lat))
+    """Minimum of csd over all sections H/N (the group itself included).
+
+    If csd(G) = 1, G is Iwasawa, and so is every section: the answer is 1
+    and no lattice is built. Otherwise one H per conjugacy class is
+    visited, with no N > 1 for an Iwasawa H, and each image N<g> is closed
+    once for the call (lattice._section_degrees with ``minimum``).
+    """
+    _check_order(group.order, max_order, DEFAULT_MAX_SECTIONS_ORDER, "sections max order")
+    if csd(group, max_order=group.order) == 1:
+        return Fraction(1)
+    lat = subgroup_lattice(group, max_order=group.order)
+    return min(value for _, _, value in _section_degrees(lat, minimum=True))
 
 
 def csd_coprime_product(degrees: list[Degree]) -> Degree:
@@ -152,7 +158,7 @@ def lower_bounds(group: FiniteGroup, max_order: int | None = None) -> LowerBound
     cyc_masks = [sub.members for sub in poset.subgroups]
     best = Fraction(0)
     for sub in lat.subgroups:
-        if not _is_abelian_subgroup(group, sub):
+        if _conjugation_maps(group, sub.members):  # M is not abelian
             continue
         l1m = sum(1 for cm in cyc_masks if cm | sub.members == sub.members)
         bound = Fraction(l1m, m) ** 2
@@ -160,13 +166,3 @@ def lower_bounds(group: FiniteGroup, max_order: int | None = None) -> LowerBound
             best = bound
     return LowerBounds(normal_cyclic, pair_floor, best)
 
-
-def _is_abelian_subgroup(group: FiniteGroup, sub: Subgroup) -> bool:
-    t = group.table
-    elems = sub.elems
-    for idx, a in enumerate(elems):
-        row = t[a]
-        for b in elems[idx + 1 :]:
-            if row[b] != t[b][a]:
-                return False
-    return True

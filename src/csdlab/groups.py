@@ -50,8 +50,11 @@ class FiniteGroup:
         elem_order: elem_order[a] is the least k >= 1 with a^k = identity.
         label: descriptive name, e.g. "D(8)" or "Z(4)xQ(8)".
 
-    Never mutated after construction, apart from private caches of ints (``_conj_maps``,
-    ``_cyclic_masks``, ``_lattice_masks``); safe to share across workers.
+    Never mutated after construction, apart from private caches: the
+    conjugation maps (``_conj_maps``) and the collections that
+    lattice.cyclic_subgroups and lattice.subgroup_lattice return
+    (``_cyclic_poset``, ``_lattice``). The cached Subgroups hold the group,
+    a reference cycle that the cyclic garbage collector frees.
     """
 
     __slots__ = (
@@ -62,8 +65,8 @@ class FiniteGroup:
         "elem_order",
         "label",
         "_conj_maps",
-        "_cyclic_masks",
-        "_lattice_masks",
+        "_cyclic_poset",
+        "_lattice",
     )
 
     def __init__(self, table: list[list[int]], label: str):
@@ -93,8 +96,8 @@ class FiniteGroup:
         self.elem_order = tuple(elem_order)
         self.label = label
         self._conj_maps: list[tuple[int, ...]] | None = None
-        self._cyclic_masks: tuple[int, ...] | None = None
-        self._lattice_masks: tuple[int, ...] | None = None
+        self._cyclic_poset = None
+        self._lattice = None
 
     def mul(self, a: int, b: int) -> int:
         """Product of elements a and b (table lookup)."""
@@ -373,19 +376,24 @@ def center(group: FiniteGroup) -> Subgroup:
 
 
 def derived_subgroup(group: FiniteGroup) -> Subgroup:
-    """The subgroup K generated by the commutators [x, s] = x^-1 s^-1 x s,
-    for every x and every generator s of ``_conjugation_maps``.
+    """The derived subgroup G' (see _derived_mask)."""
+    return Subgroup(group, _derived_mask(group, range(group.order), _conjugation_maps(group)))
 
-    K is the derived subgroup G'. It is normal, because
-    y^-1 [x, s] y = [xy, s] [y, s]^-1 lies in K for every y. Every
-    generator s is central modulo K (the generators without a map are
-    central in G), so G/K is abelian and K contains G'; K <= G' holds
-    since K is generated by commutators.
+
+def _derived_mask(group: FiniteGroup, elems, maps) -> int:
+    """Mask of the derived subgroup H' of the subgroup H with elements
+    ``elems`` and conjugation maps ``maps`` (from ``_conjugation_maps``).
+
+    It is the subgroup K generated by the commutators
+    [x, s] = x^-1 s^-1 x s, for every x in H and every generator s of the
+    maps. K is normal in H, because y^-1 [x, s] y = [xy, s] [y, s]^-1 lies
+    in K for every y. Every generator s is central modulo K (the
+    generators without a map are central in H), so H/K is abelian and K
+    contains H'; K <= H' holds since K is generated by commutators.
     """
     t = group.table
     inv = group.inverse
-    comms = {t[inv[x]][c[x]] for c in _conjugation_maps(group) for x in range(group.order)}
-    return generated_subgroup(group, comms)
+    return generated_mask(group, {t[inv[x]][c[x]] for c in maps for x in elems})
 
 
 def _conjugation_maps(group: FiniteGroup, within: int | None = None) -> list[tuple[int, ...]]:

@@ -6,8 +6,8 @@ subgroups, each subgroup H is extended by the prime-power elements g
 with g^p in H, and <H, g> is closed as a union of cosets of H (see
 subgroup_lattice for why this finds every subgroup). Collections are
 ordered by (size, mask value) so every enumeration is deterministic.
-Each group is enumerated once: its cyclic-poset and lattice masks are
-kept on it as ints, and each call builds fresh Subgroups from them.
+Each group is enumerated once: its cyclic poset and its lattice are
+kept on it, and every call returns those same collections.
 The sections H/N and their csd are walked inside the lattice of G by the
 correspondence theorem (_section_degrees), with no quotient table.
 """
@@ -23,6 +23,7 @@ from .groups import (
     Subgroup,
     _check_order,
     _conjugation_maps,
+    _derived_mask,
     _invariant,
     _mask_of,
     quotient,
@@ -60,7 +61,7 @@ CyclicPoset = SubgroupLattice  # the collection cyclic_subgroups returns
 def cyclic_subgroups(group: FiniteGroup, max_order: int | None = None) -> CyclicPoset:
     """The poset of cyclic subgroups: every ⟨g⟩ for g in the group, deduplicated."""
     _check_order(group.order, max_order, DEFAULT_MAX_ORDER, "cyclic-poset max order")
-    if group._cyclic_masks is None:
+    if group._cyclic_poset is None:
         t = group.table
         seen: set[int] = set()
         for a in range(group.order):
@@ -70,8 +71,8 @@ def cyclic_subgroups(group: FiniteGroup, max_order: int | None = None) -> Cyclic
                 mask |= 1 << x
                 x = t[x][a]
             seen.add(mask)
-        group._cyclic_masks = tuple(sorted(seen, key=lambda m: (m.bit_count(), m)))
-    return CyclicPoset(group, [Subgroup(group, m) for m in group._cyclic_masks])
+        group._cyclic_poset = CyclicPoset(group, _sorted_subgroups(group, seen))
+    return group._cyclic_poset
 
 
 def subgroup_lattice(group: FiniteGroup, max_order: int | None = None) -> SubgroupLattice:
@@ -104,13 +105,17 @@ def subgroup_lattice(group: FiniteGroup, max_order: int | None = None) -> Subgro
     subgroups the worklist starts from.
     """
     _check_order(group.order, max_order, DEFAULT_MAX_LATTICE_ORDER, "lattice max order")
-    if group._lattice_masks is None:
-        group._lattice_masks = _lattice_worklist(group)
-    return SubgroupLattice(group, [Subgroup(group, m) for m in group._lattice_masks])
+    if group._lattice is None:
+        group._lattice = SubgroupLattice(group, _sorted_subgroups(group, _lattice_worklist(group)))
+    return group._lattice
 
 
-def _lattice_worklist(group: FiniteGroup) -> tuple[int, ...]:
-    """Masks of all subgroups, in (size, mask) order (see subgroup_lattice)."""
+def _sorted_subgroups(group: FiniteGroup, masks) -> list[Subgroup]:
+    return [Subgroup(group, m) for m in sorted(masks, key=lambda m: (m.bit_count(), m))]
+
+
+def _lattice_worklist(group: FiniteGroup) -> set[int]:
+    """Masks of all subgroups (see subgroup_lattice)."""
     n = group.order
     t = group.table
     full = (1 << n) - 1
@@ -118,12 +123,12 @@ def _lattice_worklist(group: FiniteGroup) -> tuple[int, ...]:
     maps = _conjugation_maps(group)
     roots = _prime_power_roots(group)
     known: set[int] = set()
-    work: list[tuple[int, tuple[int, ...]]] = []
+    work: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
 
     def add_class(mask: int, gens: tuple[int, ...]) -> None:
         known.add(mask)
-        work.append((mask, gens))
         conjugates = [Subgroup(group, mask).elems]
+        work.append((mask, gens, conjugates[0]))
         for elems in conjugates:
             for c in maps:
                 image = [c[x] for x in elems]
@@ -136,10 +141,9 @@ def _lattice_worklist(group: FiniteGroup) -> tuple[int, ...]:
         if sub.members not in known:
             g = max(sub.elems, key=lambda e: group.elem_order[e])
             add_class(sub.members, (g,) if sub.size > 1 else ())
-    for mh, gh in work:
+    for mh, gh, eh in work:
         if mh == 1 or mh == full:
             continue
-        eh = Subgroup(group, mh).elems
         todo = 0
         for h in eh:
             todo |= roots[h]
@@ -152,7 +156,7 @@ def _lattice_worklist(group: FiniteGroup) -> tuple[int, ...]:
             mk = _coset_closure(t, mh, eh, gk, largest_proper, full)
             if mk not in known:
                 add_class(mk, gk)
-    return tuple(sorted(known, key=lambda m: (m.bit_count(), m)))
+    return known
 
 
 def _prime_power_roots(group: FiniteGroup) -> list[int]:
@@ -368,7 +372,7 @@ def _sections_lattice(group: FiniteGroup, max_order: int | None = None) -> Subgr
 
 
 def _section_degrees(
-    lat: SubgroupLattice, quotients: bool = True
+    lat: SubgroupLattice, quotients: bool = True, minimum: bool = False
 ) -> Iterator[tuple[Subgroup, Subgroup, Fraction]]:
     """(H, N, csd(H/N)) for each section H/N of the lattice's group G, in
     the order of sections(); only the N = 1 rows if ``quotients`` is False.
@@ -377,9 +381,16 @@ def _section_degrees(
     The cyclic subgroups of H/N are the N<g>/N for g in H, and two of them
     permute iff N<g> and N<g'> permute in G; N<g> is in G's lattice. So
     their permuting pairs are counted with H's conjugation maps and no
-    quotient table. If csd(H) = 1, H is Iwasawa, and so is every quotient
-    of H: its other rows are 1 without counting. Only the N = 1 row shows
-    this; csd(H/N) = 1 says nothing about H/M for M not containing N.
+    quotient table. Each image N<g> is closed once per call, however many
+    H contain N and g. Two kinds of row are 1 without counting. If
+    csd(H) = 1, H is Iwasawa, and so is every quotient of H. Only the N = 1
+    row shows this; csd(H/N) = 1 says nothing about H/M for M not
+    containing N. And if N contains the derived subgroup H', H/N is
+    abelian.
+
+    With ``minimum`` only the rows that min() needs are yielded: one H per
+    conjugacy class of G (conjugate sections are isomorphic), and no N > 1
+    rows for an H with csd(H) = 1.
     """
     group = lat.group
     t = group.table
@@ -391,27 +402,41 @@ def _section_degrees(
         for c in cyclic_subgroups(group, max_order=n)
     ]
     subs = lat.subgroups
-    by_mask = {s.members: s for s in subs}
-    for i, h in enumerate(subs):
+    position = {s.members: i for i, s in enumerate(subs)}
+    heads = range(len(subs))
+    if minimum:
+        heads = [o[0] for o in _conjugacy_orbits(subs, position, _conjugation_maps(group))]
+    images: dict[tuple[int, int], int] = {}  # (N, <g>) -> N<g>
+    one = Fraction(1)
+    for i in heads:
+        h = subs[i]
         mh = h.members
         maps = _conjugation_maps(group, mh)
         inside = [(c, g) for c, g in cyclic if c.members & mh == c.members]
         m = len(inside)
         csd_h = Fraction(_count_pairs([c for c, _ in inside], maps), m * m)
         yield h, subs[0], csd_h
-        if not quotients:
+        if not quotients or (minimum and csd_h == 1):
             continue
+        # the N holding ``derived`` have csd(H/N) = 1: those holding H', or
+        # every N (the empty mask) if H is Iwasawa
+        derived = 0 if csd_h == 1 else _derived_mask(group, h.elems, maps)
         for nsub in subs[1 : i + 1]:
             mn = nsub.members
             if mn & mh != mn or not _invariant(mn, nsub.elems, maps):
                 continue
-            if csd_h == 1:  # H is Iwasawa, and so is H/N
-                yield h, nsub, csd_h
+            if derived & mn == derived:
+                yield h, nsub, one
                 continue
             # g normalises N, so N<g> is the union of the cosets N*g^k
-            images = {
-                _coset_closure(t, mn, nsub.elems, (g,), largest_proper, full)
-                for _, g in inside
-            }
-            count = _count_pairs([by_mask[k] for k in images], maps)
-            yield h, nsub, Fraction(count, len(images) ** 2)
+            found = set()
+            for c, g in inside:
+                key = (mn, c.members)
+                mk = images.get(key)
+                if mk is None:
+                    mk = images[key] = _coset_closure(
+                        t, mn, nsub.elems, (g,), largest_proper, full
+                    )
+                found.add(mk)
+            count = _count_pairs([subs[position[mk]] for mk in found], maps)
+            yield h, nsub, Fraction(count, len(found) ** 2)

@@ -16,7 +16,15 @@ from csdlab.degrees import (
 from csdlab.errors import GuardrailExceeded
 from csdlab.expr import evaluate, parse
 from csdlab.groups import cyclic, dihedral, heisenberg_E
-from oracle import brute_csd, brute_d, brute_sd
+from csdlab.lattice import _section_degrees, sections, subgroup_lattice
+from oracle import (
+    brute_csd,
+    brute_cyclic_subgroups,
+    brute_d,
+    brute_normals,
+    brute_sd,
+    brute_subgroups,
+)
 
 
 def G(text):
@@ -100,10 +108,46 @@ def test_is_iwasawa():
 
 
 def test_csd_one_exactly_for_iwasawa(corpus):
+    # is_iwasawa is csd = 1, so the criterion is checked against sd itself
     for text, group in corpus:
-        assert (csd(group, max_order=group.order) == 1) == is_iwasawa(
-            group, max_order=group.order
-        ), text
+        sd_one = sd(group, max_order=group.order) == 1
+        assert (csd(group, max_order=group.order) == 1) == sd_one, text
+        assert is_iwasawa(group, max_order=group.order) == sd_one, text
+
+
+def test_is_iwasawa_keeps_the_lattice_guardrail():
+    wide = dihedral(150, max_order=300)
+    with pytest.raises(GuardrailExceeded, match="^order 300 exceeds lattice max order 256$"):
+        is_iwasawa(wide)
+    q16 = G("Q(16)")
+    with pytest.raises(GuardrailExceeded, match="^order 16 exceeds lattice max order 15$"):
+        is_iwasawa(q16, max_order=15)
+    assert is_iwasawa(cyclic(300, max_order=300), max_order=300)
+
+
+def test_iwasawa_answers_build_no_lattice():
+    for text in ("Ea(2,5)", "Q(8)", "Z(2)xQ(8)", "M(16)", "Z(24)", "D(8)", "S(4)"):
+        group = G(text)
+        iwasawa = is_iwasawa(group)
+        assert group._lattice is None, text
+        if iwasawa:
+            assert csd_star(group) == 1
+            assert group._lattice is None, text
+
+
+SECTION_GROUPS = (
+    "D(8)", "Q(16)", "SD(16)", "S(4)", "E(27)", "Z(3)xS(3)", "Z(4)xQ(8)", "D(8)xZ(2)", "S(5)",
+    "D(128)",
+)
+
+
+@pytest.mark.parametrize("text", SECTION_GROUPS)
+def test_csd_star_is_the_minimum_over_every_section(text):
+    group = G(text)
+    star = csd_star(group, max_order=group.order)
+    walk = _section_degrees(subgroup_lattice(group, max_order=group.order))
+    assert star == min(value for _, _, value in walk)
+    assert star == min(brute_csd(q) for q in sections(group, max_order=group.order))
 
 
 def test_csd_star():
@@ -134,6 +178,22 @@ def test_csd_coprime_product():
     parts = [Fraction(19, 25), Fraction(1), Fraction(22, 49)]
     assert csd_coprime_product(parts) == Fraction(19 * 22, 25 * 49)
     assert csd_coprime_product([]) == 1
+
+
+def test_lower_bounds_match_oracle(small_corpus):
+    for text, group in small_corpus:
+        t = group.table
+        cycs = brute_cyclic_subgroups(group)
+        m = len(cycs)
+        abelian = [
+            s for s in brute_subgroups(group) if all(t[a][b] == t[b][a] for a in s for b in s)
+        ]
+        bounds = lower_bounds(group)
+        assert bounds.normal_cyclic == Fraction(len(cycs & brute_normals(group)), m), text
+        assert bounds.pair_floor == Fraction(2 * m - 1, m * m), text
+        assert bounds.abelian_subgroup == max(
+            Fraction(sum(1 for c in cycs if c <= s), m) ** 2 for s in abelian
+        ), text
 
 
 def test_lower_bounds_s3():

@@ -1,4 +1,4 @@
-import sys
+import gc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +8,7 @@ from csdlab.errors import GuardrailExceeded
 from csdlab.expr import evaluate, parse
 from csdlab.formulas import tau
 from csdlab.groups import (
+    FiniteGroup,
     Permutation,
     Subgroup,
     cyclic,
@@ -276,8 +277,10 @@ def test_sd32_has_sd16_quotient_and_q8_section():
 # Not Iwasawa, but with Iwasawa subgroups and quotients. In Z(4)xQ(8)
 # and Z(3)xS(3) some H has a row H/N of csd 1 (N != 1) followed by a row
 # below 1, so pruning on any csd-1 row, not only N = 1, would show here.
+# In S(3)xS(3) the derived subgroup of some H needs the commutators of
+# more than one of its generators.
 @pytest.mark.parametrize(
-    "text", ["Z(4)xQ(8)", "Z(3)xS(3)", "S(4)", "SD(16)", "D(64)", "A(5)xZ(2)"]
+    "text", ["Z(4)xQ(8)", "Z(3)xS(3)", "S(4)", "SD(16)", "D(64)", "A(5)xZ(2)", "S(3)xS(3)"]
 )
 def test_section_degrees_match_quotients_row_by_row(text):
     group = evaluate(parse(text))
@@ -317,22 +320,46 @@ def test_guardrails_hold_on_a_warm_cache():
         csd_star(group, max_order=n - 1)
 
 
-def test_each_call_builds_fresh_subgroups_from_cached_ints():
+@pytest.mark.parametrize("text", ["S(4)", "S(5)", "Z(4)xQ(8)", "D(8)xZ(2)", "S(3)xS(3)"])
+def test_minimum_walk_takes_one_subgroup_per_class(text):
+    group = evaluate(parse(text))
+    lat = _sections_lattice(group)
+    t, inv = group.table, group.inverse
+    classes = {
+        s.members: frozenset(
+            sum(1 << t[t[inv[g]][x]][g] for x in s.elems) for g in range(group.order)
+        )
+        for s in lat
+    }
+    rows = list(_section_degrees(lat, minimum=True))
+    heads = [h.members for h, normal, _ in rows if normal.size == 1]
+    assert len(heads) == len({classes[h] for h in heads}) == len(set(classes.values()))
+    # conjugate sections are isomorphic, and the skipped rows are 1
+    assert {value for *_, value in rows} == {value for *_, value in _section_degrees(lat)}
+
+
+def test_each_call_returns_the_cached_subgroups():
     group = dihedral(6)
     for enumerate_ in (subgroup_lattice, cyclic_subgroups):
         first, second = enumerate_(group), enumerate_(group)
-        assert first is not second
-        assert [s.members for s in first] == [s.members for s in second]
-        assert all(a is not b for a, b in zip(first, second))
-    for masks in (group._lattice_masks, group._cyclic_masks):
-        assert type(masks) is tuple and all(type(m) is int for m in masks)
+        assert first is second
+        assert all(type(s) is Subgroup and s.group is group for s in first)
+    assert cyclic_subgroups(group) is not subgroup_lattice(group)
 
 
-def test_enumeration_keeps_no_reference_to_the_group():
-    # a cached object that held the group would make a reference cycle,
-    # keeping the Cayley table alive until the cyclic collector runs
+def _live_groups():
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, FiniteGroup))
+
+
+def test_cached_enumeration_is_freed_by_the_collector():
+    # the cached Subgroups hold their group: a reference cycle, which
+    # must not keep the Cayley table alive once the collector runs
+    gc.collect()
+    before = _live_groups()
     group = direct_product(cyclic(3), dihedral(3))
-    before = sys.getrefcount(group)
     for degree in (subgroup_lattice, cyclic_subgroups, sd, csd_star):
         degree(group)
-        assert sys.getrefcount(group) == before, degree.__name__
+    assert _live_groups() == before + 1
+    del group
+    gc.collect()
+    assert _live_groups() == before
