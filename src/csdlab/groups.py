@@ -99,25 +99,25 @@ class FiniteGroup:
         self._cyclic_poset = None
         self._lattice = None
 
+    def _check_index(self, *elems: int) -> None:
+        if not all(0 <= a < self.order for a in elems):
+            raise IndexError(f"element index out of range for group of order {self.order}")
+
     def mul(self, a: int, b: int) -> int:
         """Product of elements a and b (table lookup)."""
-        if not (0 <= a < self.order and 0 <= b < self.order):
-            raise IndexError(f"element index out of range for group of order {self.order}")
+        self._check_index(a, b)
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise IndexError(f"element index out of range for group of order {self.order}")
+        self._check_index(a)
         return self.inverse[a]
 
     def power(self, a: int, k: int) -> int:
-        """a^k for any integer k (negative powers via the inverse)."""
-        if k < 0:
-            a, k = self.inverse[a], -k
+        """a^k for any integer k; k counts modulo the order of a."""
+        self._check_index(a)
         acc = 0
-        while k:
+        for _ in range(k % self.elem_order[a]):
             acc = self.table[acc][a]
-            k -= 1
         return acc
 
     @property
@@ -279,13 +279,7 @@ class Subgroup:
         self.group = group
         self.members = members
         self.size = members.bit_count()
-        elems = []
-        m = members
-        while m:
-            lsb = m & -m
-            elems.append(lsb.bit_length() - 1)
-            m ^= lsb
-        self.elems = tuple(elems)
+        self.elems = _elements(members)
 
     @classmethod
     def from_elements(cls, group: FiniteGroup, elements) -> Subgroup:
@@ -334,24 +328,64 @@ def _mask_of(elements) -> int:
     return m
 
 
-def generated_mask(group: FiniteGroup, generators) -> int:
-    """Bitmask of the subgroup generated by the given element indices."""
-    gens = [g for g in generators]
-    t = group.table
-    mask = 1
-    queue = [0]
-    for u in queue:
-        row = t[u]
-        for g in gens:
-            w = row[g]
-            if not (mask >> w) & 1:
-                mask |= 1 << w
-                queue.append(w)
+def _elements(mask: int) -> tuple[int, ...]:
+    elems = []
+    while mask:
+        lsb = mask & -mask
+        elems.append(lsb.bit_length() - 1)
+        mask ^= lsb
+    return tuple(elems)
+
+
+def _coset_closure(t, mh, eh, gens, largest_proper, full) -> int:
+    """Mask of <H, gens> (``gens`` include a generating set of H): the union
+    of the right cosets H*r reached from H by right multiplication with the
+    generators, or ``full`` once it passes ``largest_proper`` (Lagrange)."""
+    mask = mh
+    size = len(eh)
+    reps = [0]
+    for r in reps:
+        row = t[r]
+        for s in gens:
+            x = row[s]
+            if not (mask >> x) & 1:
+                for h in eh:
+                    mask |= 1 << t[h][x]
+                size += len(eh)
+                if size > largest_proper:
+                    return full
+                reps.append(x)
     return mask
+
+
+def _generator_chain(group: FiniteGroup, candidates) -> tuple[int, list[int]]:
+    """Mask of the subgroup generated by ``candidates``, and the greedy
+    generators used: each candidate outside the subgroup so far joins it,
+    closed by cosets, and at least doubles its order. Stops at G."""
+    n = group.order
+    full = (1 << n) - 1
+    largest_proper = n // min(factorize(n), default=1)
+    mask, gens = 1, []
+    for g in candidates:
+        if (mask >> g) & 1:
+            continue
+        gens.append(g)
+        mask = _coset_closure(group.table, mask, _elements(mask), gens, largest_proper, full)
+        if mask == full:
+            break
+    return mask, gens
+
+
+def generated_mask(group: FiniteGroup, generators) -> int:
+    """Bitmask of the subgroup generated by the given element indices,
+    closed by cosets along the greedy chain of ``_generator_chain``."""
+    return _generator_chain(group, generators)[0]
 
 
 def generated_subgroup(group: FiniteGroup, generators) -> Subgroup:
     """Subgroup generated by the given element indices."""
+    generators = list(generators)
+    group._check_index(*generators)
     return Subgroup(group, generated_mask(group, generators))
 
 
@@ -400,28 +434,23 @@ def _conjugation_maps(group: FiniteGroup, within: int | None = None) -> list[tup
     """The maps x -> g^-1 x g for a greedy generating set of the group,
     or of its subgroup with mask ``within``.
 
-    Each generator is the least element outside the subgroup generated
-    by the earlier ones, so there are at most log2(order) of them. The
-    orbits of these maps, on elements or on subgroups, are the orbits of
-    conjugation by the whole (sub)group. Maps that fix the (sub)group
-    pointwise are left out, so an abelian one gets none. The maps of the
-    whole group are computed once and kept on it.
+    The generators are the chain over the elements in order, each the
+    least element outside the subgroup so far. The orbits of these maps,
+    on elements or on subgroups, are the orbits of conjugation by the
+    whole (sub)group. A map fixes it pointwise iff its generator commutes
+    with every generator; such maps are never built, so an abelian
+    (sub)group gets none. The maps of the whole group are kept on it.
     """
     if within is None:
         if group._conj_maps is None:
             group._conj_maps = _conjugation_maps(group, (1 << group.order) - 1)
         return group._conj_maps
     t = group.table
-    gens: list[int] = []
-    mask = 1
-    while mask != within:
-        rest = within & ~mask
-        gens.append((rest & -rest).bit_length() - 1)
-        mask = generated_mask(group, gens)
+    whole = within == (1 << group.order) - 1
+    gens = _generator_chain(group, range(group.order) if whole else _elements(within))[1]
+    gens = [g for g in gens if any(t[g][h] != t[h][g] for h in gens)]
     # x -> g^-1 x g is the row of g^-1 gathered through the column of g
-    maps = [operator.itemgetter(*t[group.inverse[g]])([row[g] for row in t]) for g in gens]
-    # a map fixes the (sub)group pointwise iff it fixes each generator
-    return [c for c in maps if any(c[h] != h for h in gens)]
+    return [operator.itemgetter(*t[group.inverse[g]])([row[g] for row in t]) for g in gens]
 
 
 def _invariant(mask: int, elems, maps) -> bool:
@@ -434,27 +463,14 @@ def is_abelian(group: FiniteGroup) -> bool:
 
 
 def is_nilpotent(group: FiniteGroup) -> bool:
-    """True iff for every prime p | order, the p-power-order elements are product-closed.
-
-    Closure of each p-element set is equivalent to that Sylow p-subgroup
-    being normal (and unique), hence to nilpotency. O(n^2), lattice-free.
-    """
-    t = group.table
-    for p in factorize(group.order):
-        elems = []
-        mask = 0
-        for a in range(group.order):
-            o = group.elem_order[a]
-            while o % p == 0:
-                o //= p
-            if o == 1:
-                elems.append(a)
-                mask |= 1 << a
-        for a in elems:
-            row = t[a]
-            for b in elems:
-                if not (mask >> row[b]) & 1:
-                    return False
+    """True iff for each p^k exactly dividing the order, the p-power-order
+    elements generate a subgroup of order p^k: a Sylow p-subgroup holding
+    every p-element, so the only one, hence normal. Lattice-free."""
+    for p, k in factorize(group.order).items():
+        pk = p**k
+        pelems = [a for a, o in enumerate(group.elem_order) if pk % o == 0]
+        if generated_mask(group, pelems).bit_count() != pk:
+            return False
     return True
 
 

@@ -23,7 +23,9 @@ from .groups import (
     Subgroup,
     _check_order,
     _conjugation_maps,
+    _coset_closure,
     _derived_mask,
+    _elements,
     _invariant,
     _mask_of,
     quotient,
@@ -127,7 +129,7 @@ def _lattice_worklist(group: FiniteGroup) -> set[int]:
 
     def add_class(mask: int, gens: tuple[int, ...]) -> None:
         known.add(mask)
-        conjugates = [Subgroup(group, mask).elems]
+        conjugates = [_elements(mask)]
         work.append((mask, gens, conjugates[0]))
         for elems in conjugates:
             for c in maps:
@@ -167,27 +169,6 @@ def _prime_power_roots(group: FiniteGroup) -> list[int]:
         if pk is not None:
             roots[group.power(g, pk[0])] |= 1 << g
     return roots
-
-
-def _coset_closure(t, mh, eh, gens, largest_proper, full) -> int:
-    """Mask of the subgroup generated by H and ``gens`` (which include a
-    generating set of H): the union of the right cosets H*r reached from
-    H by right multiplication with the generators."""
-    mask = mh
-    size = len(eh)
-    reps = [0]
-    for r in reps:
-        row = t[r]
-        for s in gens:
-            x = row[s]
-            if not (mask >> x) & 1:
-                for h in eh:
-                    mask |= 1 << t[h][x]
-                size += len(eh)
-                if size > largest_proper:
-                    return full
-                reps.append(x)
-    return mask
 
 
 def is_normal(sub: Subgroup) -> bool:

@@ -17,6 +17,7 @@ from csdlab.groups import (
     elementary_abelian,
     from_generators,
     generalized_quaternion,
+    generated_subgroup,
     heisenberg_E,
     is_abelian,
     is_nilpotent,
@@ -29,7 +30,9 @@ from csdlab.groups import (
     trivial_subgroup,
     validate,
     zm_group,
+    _conjugation_maps,
 )
+from csdlab.lattice import subgroup_lattice
 from oracle import (
     brute_center,
     brute_derived,
@@ -357,11 +360,66 @@ def test_derived_subgroup(corpus):
     assert derived_subgroup(d8).size == 2
     for text, group in corpus:
         assert frozenset(derived_subgroup(group).elems) == brute_derived(group), text
+    for text in ("S(5)", "A(5)"):
+        group = evaluate(parse(text))
+        assert frozenset(derived_subgroup(group).elems) == brute_derived(group), text
 
 
-def test_nilpotency_matches_oracle():
+def test_nilpotency_matches_oracle(corpus):
     for group in CONSTRUCTED:
         assert is_nilpotent(group) == brute_is_nilpotent(group), group.label
+    for text, group in corpus:
+        assert is_nilpotent(group) == brute_is_nilpotent(group), text
+
+
+@pytest.mark.parametrize("text", ["S(4)", "Z(2)xD(8)", "Q(16)", "Z(3)xS(3)", "E(27)"])
+def test_subgroup_conjugation_maps_match_conjugation_by_every_element(text):
+    # the maps of a subgroup H come from its greedy generators only; their
+    # orbits must still be H's conjugacy classes, and no map is left
+    # exactly when H is abelian
+    group = evaluate(parse(text))
+    t = group.table
+    inv = group.inverse
+    for sub in subgroup_lattice(group):
+        elems = sub.elems
+        maps = _conjugation_maps(group, sub.members)
+        abelian = all(t[a][b] == t[b][a] for a in elems for b in elems)
+        assert (not maps) == abelian, (text, elems)
+        classes = {frozenset(t[t[inv[g]][x]][g] for g in elems) for x in elems}
+        orbits = set()
+        for x in elems:
+            orbit = [x]
+            for y in orbit:
+                for c in maps:
+                    if c[y] not in orbit:
+                        orbit.append(c[y])
+            orbits.add(frozenset(orbit))
+        assert orbits == classes, (text, elems)
+
+
+def test_power_checks_its_index_and_reduces_the_exponent():
+    d8 = dihedral(4)
+    for bad in (-1, 8):
+        with pytest.raises(IndexError, match="^element index out of range for group of order 8$"):
+            d8.power(bad, 1)
+    for a in range(8):
+        acc = 0
+        for k in range(10):
+            assert d8.power(a, k) == acc
+            assert d8.mul(d8.power(a, -k), acc) == 0
+            acc = d8.mul(acc, a)
+    # the exponent counts modulo the element order, so no loop runs 10^18 times
+    assert d8.power(1, 10**18 + 3) == d8.power(1, 3) == 3
+    assert d8.power(1, -(10**18) - 1) == d8.inv(1)
+
+
+def test_generated_subgroup_rejects_a_bad_generator():
+    d8 = dihedral(4)
+    for bad in ([-1], [8], [1, 8]):
+        with pytest.raises(IndexError, match="^element index out of range for group of order 8$"):
+            generated_subgroup(d8, bad)
+    assert generated_subgroup(d8, iter([1, 4])).size == 8
+    assert generated_subgroup(d8, []).elems == (0,)
 
 
 def test_is_abelian(corpus):
@@ -384,8 +442,6 @@ def test_quotient_of_dihedral_by_center_is_klein():
 def test_quotient_requires_normal(small_corpus):
     s3 = p_group_P(2, 3, 2)
     reflection = next(x for x in range(6) if s3.elem_order[x] == 2)
-    from csdlab.groups import generated_subgroup
-
     sub = generated_subgroup(s3, [reflection])
     with pytest.raises(ValueError):
         quotient(s3, sub)
@@ -403,8 +459,6 @@ def test_quotient_requires_normal(small_corpus):
 
 def test_subgroup_as_group_reindexes():
     d8 = dihedral(4)
-    from csdlab.groups import generated_subgroup
-
     rot = generated_subgroup(d8, [1])
     g = subgroup_as_group(rot)
     assert g.order == 4
