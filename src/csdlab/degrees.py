@@ -155,14 +155,9 @@ def lower_bounds(group: FiniteGroup, max_order: int | None = None) -> LowerBound
     )
     pair_floor = Fraction(2 * m - 1, m * m)
     lat = subgroup_lattice(group, max_order=max_order)
-    cyc_masks = [sub.members for sub in poset.subgroups]
-    best = Fraction(0)
-    for sub in lat.subgroups:
-        if _conjugation_maps(group, sub.members):  # M is not abelian
-            continue
-        l1m = sum(1 for cm in cyc_masks if cm | sub.members == sub.members)
-        bound = Fraction(l1m, m) ** 2
-        if bound > best:
-            best = bound
-    return LowerBounds(normal_cyclic, pair_floor, best)
+    cyc = group._cyclic_of  # |L1(M)| counts the <x> for x in M
+    l1 = sorted(((len({cyc[x] for x in s.elems}), s.members) for s in lat.subgroups), reverse=True)
+    # the first abelian M in decreasing |L1(M)| (the trivial one at worst) sets the maximum
+    l1m = next(c for c, mask in l1 if not _conjugation_maps(group, mask))
+    return LowerBounds(normal_cyclic, pair_floor, Fraction(l1m, m) ** 2)
 

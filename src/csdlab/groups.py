@@ -50,8 +50,9 @@ class FiniteGroup:
         elem_order: elem_order[a] is the least k >= 1 with a^k = identity.
         label: descriptive name, e.g. "D(8)" or "Z(4)xQ(8)".
 
-    Never mutated after construction, apart from private caches: the
-    conjugation maps (``_conj_maps``) and the collections that
+    One power walk per cyclic subgroup fills these and ``_cyclic_of[a]``,
+    the mask of <a>. Never mutated after construction, apart from private
+    caches: the conjugation maps (``_conj_maps``) and the collections that
     lattice.cyclic_subgroups and lattice.subgroup_lattice return
     (``_cyclic_poset``, ``_lattice``). The cached Subgroups hold the group,
     a reference cycle that the cyclic garbage collector frees.
@@ -64,6 +65,7 @@ class FiniteGroup:
         "inverse",
         "elem_order",
         "label",
+        "_cyclic_of",
         "_conj_maps",
         "_cyclic_poset",
         "_lattice",
@@ -74,26 +76,40 @@ class FiniteGroup:
         if n == 0:
             raise ValueError("group must have at least one element")
         self.order = n
-        self.table = tuple(tuple(row) for row in table)
+        self.table = t = tuple(tuple(row) for row in table)
+        if any(len(row) != n for row in t):
+            raise ValueError(f"table for {label!r} is not square")
         self.identity = 0
-        row0 = self.table[0]
         for a in range(n):
-            if row0[a] != a or self.table[a][0] != a:
+            if t[0][a] != a or t[a][0] != a:
                 raise ValueError(f"element 0 is not an identity in table for {label!r}")
-        # walk the powers of a; the last one before the identity is a^-1
-        t = self.table
-        inverse = [0] * n
-        elem_order = [1] * n
+        # one power walk per cyclic subgroup, from its least generator a:
+        # each a^k with gcd(k, o) = 1 has order o, inverse a^(o-k) and <a^k> = <a>
+        inverse, elem_order, cyclic_of, units = [0] * n, [1] * n, [1] * n, {}
         for a in range(1, n):
-            x = a
-            k = 2
-            while (y := t[x][a]) != 0:
-                x = y
-                k += 1
-            inverse[a] = x
-            elem_order[a] = k
+            if elem_order[a] > 1:
+                continue
+            x = t[a][a]
+            mask = 1 | 1 << a
+            if x == 0:  # an involution is its own inverse and <a>'s only generator
+                elem_order[a], inverse[a], cyclic_of[a] = 2, a, mask
+                continue
+            powers = [0, a]
+            while x != 0:
+                if len(powers) == n:
+                    raise ValueError(f"powers of element {a} never reach 0 in table for {label!r}")
+                powers.append(x)
+                mask |= 1 << x
+                x = t[x][a]
+            o = len(powers)
+            if o not in units:
+                units[o] = [k for k in range(1, o) if math.gcd(k, o) == 1]
+            for k in units[o]:
+                y = powers[k]
+                elem_order[y], inverse[y], cyclic_of[y] = o, powers[o - k], mask
         self.inverse = tuple(inverse)
         self.elem_order = tuple(elem_order)
+        self._cyclic_of = tuple(cyclic_of)
         self.label = label
         self._conj_maps: list[tuple[int, ...]] | None = None
         self._cyclic_poset = None
@@ -135,24 +151,21 @@ class FiniteGroup:
 def validate(group: FiniteGroup, check_associativity: bool = True) -> None:
     """Full Cayley-table validation; raises ValueError on the first defect.
 
-    The associativity sweep is O(n^3) and meant for tests and debugging,
-    not for routine construction paths.
+    Construction already rejects a table that is not square or whose
+    element 0 is not an identity. The associativity sweep is O(n^3) and
+    meant for tests and debugging, not for routine construction paths.
     """
     n = group.order
     t = group.table
-    if len(t) != n or any(len(row) != n for row in t):
-        raise ValueError("table is not square")
     for row in t:
         for x in row:
             if not 0 <= x < n:
                 raise ValueError(f"table entry {x} out of range")
     for a in range(n):
-        if t[0][a] != a or t[a][0] != a:
-            raise ValueError("identity law fails")
         if t[a][group.inverse[a]] != 0 or t[group.inverse[a]][a] != 0:
             raise ValueError(f"inverse law fails at element {a}")
         x, k = a, 1
-        while x != 0:
+        while x != 0 and k <= n:
             x = t[x][a]
             k += 1
         if group.elem_order[a] != k:
@@ -283,6 +296,8 @@ class Subgroup:
 
     @classmethod
     def from_elements(cls, group: FiniteGroup, elements) -> Subgroup:
+        elements = list(elements)
+        group._check_index(*elements)
         sub = cls(group, _mask_of(elements))
         sub.check()
         return sub

@@ -64,16 +64,7 @@ def cyclic_subgroups(group: FiniteGroup, max_order: int | None = None) -> Cyclic
     """The poset of cyclic subgroups: every ⟨g⟩ for g in the group, deduplicated."""
     _check_order(group.order, max_order, DEFAULT_MAX_ORDER, "cyclic-poset max order")
     if group._cyclic_poset is None:
-        t = group.table
-        seen: set[int] = set()
-        for a in range(group.order):
-            mask = 1
-            x = a
-            while x != 0:
-                mask |= 1 << x
-                x = t[x][a]
-            seen.add(mask)
-        group._cyclic_poset = CyclicPoset(group, _sorted_subgroups(group, seen))
+        group._cyclic_poset = CyclicPoset(group, _sorted_subgroups(group, set(group._cyclic_of)))
     return group._cyclic_poset
 
 
@@ -139,10 +130,10 @@ def _lattice_worklist(group: FiniteGroup) -> set[int]:
                     known.add(m)
                     conjugates.append(image)
 
-    for sub in cyclic_subgroups(group, max_order=n).subgroups:
-        if sub.members not in known:
-            g = max(sub.elems, key=lambda e: group.elem_order[e])
-            add_class(sub.members, (g,) if sub.size > 1 else ())
+    # x is the least generator of each <x> not seen before
+    for x, mask in enumerate(group._cyclic_of):
+        if mask not in known:
+            add_class(mask, (x,) if x else ())
     for mh, gh, eh in work:
         if mh == 1 or mh == full:
             continue
@@ -359,15 +350,15 @@ def _section_degrees(
     the order of sections(); only the N = 1 rows if ``quotients`` is False.
 
     Everything is computed on G's table, by the correspondence theorem.
-    The cyclic subgroups of H/N are the N<g>/N for g in H, and two of them
-    permute iff N<g> and N<g'> permute in G; N<g> is in G's lattice. So
-    their permuting pairs are counted with H's conjugation maps and no
-    quotient table. Each image N<g> is closed once per call, however many
-    H contain N and g. Two kinds of row are 1 without counting. If
-    csd(H) = 1, H is Iwasawa, and so is every quotient of H. Only the N = 1
-    row shows this; csd(H/N) = 1 says nothing about H/M for M not
-    containing N. And if N contains the derived subgroup H', H/N is
-    abelian.
+    The cyclic subgroups of H are the <g> for g in H (<g> <= H iff g is in
+    H), those of H/N are the N<g>/N, and two of them permute iff N<g> and
+    N<g'> permute in G; N<g> is in G's lattice. So their permuting pairs
+    are counted with H's conjugation maps and no quotient table. Each
+    image N<g> is closed once per call, however many H contain N and g.
+    Two kinds of row are 1 without counting. If csd(H) = 1, H is Iwasawa,
+    and so is every quotient of H. Only the N = 1 row shows this;
+    csd(H/N) = 1 says nothing about H/M for M not containing N. And if N
+    contains the derived subgroup H', H/N is abelian.
 
     With ``minimum`` only the rows that min() needs are yielded: one H per
     conjugacy class of G (conjugate sections are isomorphic), and no N > 1
@@ -378,10 +369,7 @@ def _section_degrees(
     n = group.order
     full = (1 << n) - 1
     largest_proper = n // min(factorize(n), default=1)
-    cyclic = [
-        (c, max(c.elems, key=group.elem_order.__getitem__))
-        for c in cyclic_subgroups(group, max_order=n)
-    ]
+    cyclic_of = group._cyclic_of
     subs = lat.subgroups
     position = {s.members: i for i, s in enumerate(subs)}
     heads = range(len(subs))
@@ -393,9 +381,10 @@ def _section_degrees(
         h = subs[i]
         mh = h.members
         maps = _conjugation_maps(group, mh)
-        inside = [(c, g) for c, g in cyclic if c.members & mh == c.members]
-        m = len(inside)
-        csd_h = Fraction(_count_pairs([c for c, _ in inside], maps), m * m)
+        inside = {cyclic_of[x]: x for x in h.elems}  # <x> -> a generator
+        # lattice order: the order sets _count_pairs' tests (S(5): 919, in element order 963)
+        l1 = [subs[j] for j in sorted(position[c] for c in inside)]
+        csd_h = Fraction(_count_pairs(l1, maps), len(l1) ** 2)
         yield h, subs[0], csd_h
         if not quotients or (minimum and csd_h == 1):
             continue
@@ -411,8 +400,8 @@ def _section_degrees(
                 continue
             # g normalises N, so N<g> is the union of the cosets N*g^k
             found = set()
-            for c, g in inside:
-                key = (mn, c.members)
+            for c, g in inside.items():
+                key = (mn, c)
                 mk = images.get(key)
                 if mk is None:
                     mk = images[key] = _coset_closure(

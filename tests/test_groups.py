@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -31,6 +32,7 @@ from csdlab.groups import (
     validate,
     zm_group,
     _conjugation_maps,
+    _elements,
 )
 from csdlab.lattice import subgroup_lattice
 from oracle import (
@@ -39,6 +41,7 @@ from oracle import (
     brute_is_nilpotent,
     brute_normals,
     brute_subgroups,
+    closure,
 )
 
 CONSTRUCTED = [
@@ -411,6 +414,49 @@ def test_power_checks_its_index_and_reduces_the_exponent():
     # the exponent counts modulo the element order, so no loop runs 10^18 times
     assert d8.power(1, 10**18 + 3) == d8.power(1, 3) == 3
     assert d8.power(1, -(10**18) - 1) == d8.inv(1)
+
+
+def test_power_walk_gives_inverses_orders_and_cyclic_subgroups(corpus):
+    large = [(text, evaluate(parse(text))) for text in ("D(512)", "Z(512)", "Ea(2,9)")]
+    for text, group in corpus + large:
+        t = group.table
+        closures = {}  # oracle closure, once per distinct <x>
+        for x in range(group.order):
+            y = group.inverse[x]
+            assert t[x][y] == t[y][x] == 0, (text, x)
+            powers = [x]
+            while powers[-1] != 0 and len(powers) <= group.order:
+                powers.append(t[powers[-1]][x])
+            assert group.elem_order[x] == len(powers), (text, x)
+            walk = frozenset(powers)
+            if walk not in closures:
+                closures[walk] = closure(t, (x,))
+            assert set(_elements(group._cyclic_of[x])) == walk == closures[walk], (text, x)
+
+
+def test_validate_accepts_a_large_group_without_associativity():
+    validate(evaluate(parse("A(7)"), max_order=2520), check_associativity=False)
+
+
+@pytest.mark.parametrize(
+    "table, label, message",
+    [
+        ([[0, 1], [1, 1]], "bad", "powers of element 1 never reach 0 in table for 'bad'"),
+        ([[0, 1, 2], [1, 2, 1], [2, 1, 2]], "bad", "powers of element 1 never reach 0 in table for 'bad'"),
+        ([[0, 1], [1]], "short", "table for 'short' is not square"),
+    ],
+)
+def test_finite_group_rejects_a_table_that_is_not_a_group(table, label, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FiniteGroup(table, label)
+
+
+def test_subgroup_from_elements_names_a_bad_index():
+    d8 = dihedral(4)
+    for bad in ([0, -1], [0, 99]):
+        with pytest.raises(IndexError, match="^element index out of range for group of order 8$"):
+            Subgroup.from_elements(d8, bad)
+    assert Subgroup.from_elements(d8, iter([0, 2])).elems == (0, 2)
 
 
 def test_generated_subgroup_rejects_a_bad_generator():
