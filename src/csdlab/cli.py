@@ -34,18 +34,7 @@ from .formulas import (
     csd_quaternion,
     csd_semidihedral,
 )
-from .groups import (
-    DEFAULT_MAX_ORDER,
-    FiniteGroup,
-    _cap,
-    cyclic,
-    dihedral,
-    direct_product,
-    generalized_quaternion,
-    heisenberg_E,
-    p_group_P,
-    quasidihedral,
-)
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _cap
 from .intmath import is_prime, primes_in
 from .lattice import DEFAULT_MAX_LATTICE_ORDER, DEFAULT_MAX_SECTIONS_ORDER
 from .lattice import _section_degrees, _sections_lattice, cyclic_subgroups, subgroup_lattice
@@ -220,11 +209,11 @@ def _parse_range(text: str) -> range:
 def _verify_rows(family: str, span: range, caps: Caps) -> list[dict[str, object]]:
     rows = []
     for value in span:
-        for params, formula, build in _verify_cases(family, value, caps):
+        for params, formula, text in _verify_cases(family, value, caps):
             row: dict[str, object] = {"params": params, "formula": formula}
             rows.append(row)
             try:
-                group = build()
+                group = _evaluate(text, caps)
             except GuardrailExceeded:
                 row["match"] = "skipped"
                 continue
@@ -235,53 +224,32 @@ def _verify_rows(family: str, span: range, caps: Caps) -> list[dict[str, object]
 
 
 def _verify_cases(family: str, value: int, caps: Caps):
-    """Yield (params label, formula value, group builder) for one sweep point."""
-    cap = caps.order
+    """Yield (params label, formula value, group expression) for one sweep point."""
     if family == "dihedral":
         if value >= 2:
-            yield (f"m={value}", csd_dihedral(value), lambda: dihedral(value, max_order=cap))
+            yield f"m={value}", csd_dihedral(value), f"D({2 * value})"
     elif family == "quaternion":
         if value >= 3:
-            yield (
-                f"n={value}",
-                csd_quaternion(value),
-                lambda: generalized_quaternion(value, max_order=cap),
-            )
+            yield f"n={value}", csd_quaternion(value), f"Q({2**value})"
     elif family == "semidihedral":
         if value >= 4:
-            yield (
-                f"n={value}",
-                csd_semidihedral(value),
-                lambda: quasidihedral(value, max_order=cap),
-            )
+            yield f"n={value}", csd_semidihedral(value), f"SD({2**value})"
     elif family == "pgroup":
         if value >= 2:
-            limit = _cap(cap)
+            limit = _cap(caps.order)
             for p in primes_in(3, limit):
                 if p ** (value - 1) > limit:
                     continue
                 for q in primes_in(2, p - 1):
                     if (p - 1) % q or p ** (value - 1) * q > limit:
                         continue
-                    yield (
-                        f"n={value},p={p},q={q}",
-                        csd_P_group(value, p),
-                        lambda n=value, pp=p, qq=q: p_group_P(n, pp, qq, max_order=cap),
-                    )
+                    yield f"n={value},p={p},q={q}", csd_P_group(value, p), f"P({value},{p},{q})"
     elif family == "ep3":
         if value > 2 and is_prime(value):
-            yield (f"p={value}", csd_E_p3(value), lambda: heisenberg_E(value, max_order=cap))
+            yield f"p={value}", csd_E_p3(value), f"E({value**3})"
     elif family == "zq8bound":
         if value >= 2:
-            yield (
-                f"n={value}",
-                csd_lower_bound_Zn_Q8(value),
-                lambda: direct_product(
-                    cyclic(2**value, max_order=cap),
-                    generalized_quaternion(3),
-                    max_order=cap,
-                ),
-            )
+            yield f"n={value}", csd_lower_bound_Zn_Q8(value), f"Z({2**value})xQ(8)"
     else:
         raise ValueError(f"unknown verify family {family!r}")
 

@@ -96,6 +96,11 @@ class FiniteGroup:
                 continue
             powers = [0, a]
             while x != 0:
+                if not 0 < x < n:
+                    raise ValueError(
+                        f"powers of element {a} reach table entry {x}, out of range 0..{n - 1},"
+                        f" in table for {label!r}"
+                    )
                 if len(powers) == n:
                     raise ValueError(f"powers of element {a} never reach 0 in table for {label!r}")
                 powers.append(x)
@@ -151,8 +156,9 @@ class FiniteGroup:
 def validate(group: FiniteGroup, check_associativity: bool = True) -> None:
     """Full Cayley-table validation; raises ValueError on the first defect.
 
-    Construction already rejects a table that is not square or whose
-    element 0 is not an identity. The associativity sweep is O(n^3) and
+    Construction already rejects a table that is not square, whose
+    element 0 is not an identity, or whose power walks read an entry
+    outside 0..n-1 or never reach 0. The associativity sweep is O(n^3) and
     meant for tests and debugging, not for routine construction paths.
     """
     n = group.order

@@ -10,6 +10,7 @@ Each group is enumerated once: its cyclic poset and its lattice are
 kept on it, and every call returns those same collections.
 The sections H/N and their csd are walked inside the lattice of G by the
 correspondence theorem (_section_degrees), with no quotient table.
+Every pair of subgroups, cyclic or not, is tested by ``permutes``.
 """
 
 from __future__ import annotations
@@ -195,44 +196,28 @@ def product_set(h: Subgroup, k: Subgroup) -> int:
 def permutes(h: Subgroup, k: Subgroup) -> bool:
     """True iff HK = KH, i.e. the two subgroups permute.
 
-    Fast paths: containment either way; product-set size |H||K|/|H∩K|
-    failing Lagrange against |G| (cannot permute); product set covering
-    the whole group (must equal KH). Otherwise HK is built and tested
-    for inverse-closure, which holds iff HK = KH.
+    This is the one permutability test; csd, sd and csd* all count pairs
+    with it. With s = |H||K|/|H∩K| the size of HK, three cases need no
+    product: containment either way (they permute), s not dividing |G|
+    (Lagrange: they cannot), and s = |G| (HK is G, so equals KH).
+    Otherwise HK is built by ``product_set``, the smaller subgroup first,
+    and tested for inverse-closure, which holds iff HK = KH.
     """
     if h.group is not k.group:
         raise ValueError("subgroups belong to different groups")
-    group = h.group
-    return _permutes_raw(
-        group.table,
-        group.inverse,
-        group.order,
-        h.members,
-        h.elems,
-        h.size,
-        k.members,
-        k.elems,
-        k.size,
-    )
-
-
-def _permutes_raw(t, inv, n, mh, eh, sh, mk, ek, sk) -> bool:
+    mh, mk = h.members, k.members
     union = mh | mk
     if union == mh or union == mk:
         return True
-    s = sh * sk // (mh & mk).bit_count()
+    n = h.group.order
+    s = h.size * k.size // (mh & mk).bit_count()
     if n % s:
         return False
     if s == n:
         return True
-    if sh > sk:  # iterate the smaller factor's rows
-        mh, eh, sh, mk, ek, sk = mk, ek, sk, mh, eh, sh
-    pm = 0
-    for a in eh:
-        row = t[a]
-        for b in ek:
-            pm |= 1 << row[b]
+    pm = product_set(h, k) if h.size <= k.size else product_set(k, h)
     # HK = KH iff HK is inverse-closed, since (HK)^-1 = KH
+    inv = h.group.inverse
     m = pm
     while m:
         lsb = m & -m
@@ -268,17 +253,12 @@ def _count_pairs(subs: list[Subgroup], maps) -> int:
     """count_permuting_pairs for distinct subgroups of a subgroup K, closed
     under conjugation by K, whose maps are ``maps``. An orbit of one is then
     normal in K and permutes with every member."""
-    group = subs[0].group
     position = {s.members: i for i, s in enumerate(subs)}
     if len(position) != len(subs):
         raise ValueError("subgroup collection has duplicates")
     orbits = _conjugacy_orbits(subs, position, maps)
     normal = {o[0] for o in orbits if len(o) == 1}
     flat = [j for o in orbits for j in o]
-    data = [(s.members, s.elems, s.size) for s in subs]
-    t = group.table
-    inv = group.inverse
-    n = group.order
     total = 0
     start = 0
     for orbit in orbits:
@@ -286,11 +266,8 @@ def _count_pairs(subs: list[Subgroup], maps) -> int:
         if size == 1:
             total += 1 + 2 * (len(flat) - start - 1)
         else:
-            mh, eh, sh = data[orbit[0]]
-            hits = [
-                j in normal or _permutes_raw(t, inv, n, mh, eh, sh, *data[j])
-                for j in flat[start:]
-            ]
+            rep = subs[orbit[0]]
+            hits = [j in normal or permutes(rep, subs[j]) for j in flat[start:]]
             total += size * (sum(hits[:size]) + 2 * sum(hits[size:]))
         start += size
     return total

@@ -10,7 +10,17 @@ from pathlib import Path
 import pytest
 
 import csdlab
-from csdlab.cli import main
+from csdlab.cli import Caps, _verify_cases, main
+from csdlab.expr import evaluate, parse
+from csdlab.groups import (
+    cyclic,
+    dihedral,
+    direct_product,
+    generalized_quaternion,
+    heisenberg_E,
+    p_group_P,
+    quasidihedral,
+)
 from csdlab.reports import decimal_str
 
 HEADER = "group,order,l1,lattice,csd,sd,ndeg,cdeg,d,csd_star,is_iwasawa,wall_ms"
@@ -332,6 +342,52 @@ def test_verify_zq8bound_skips_out_of_domain(capsys):
     rows = out.splitlines()[1:]
     assert len(rows) == 1
     assert rows[0].startswith("n=2,")
+
+
+def test_verify_zq8bound_skips_over_the_order_cap(capsys):
+    # Z(4) fits a cap of 4 but Q(8) does not, so both rows skip
+    code, out, _ = run(capsys, ["verify", "zq8bound", "2..3", "--max-order", "4", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["n=2,19/27,,skipped", "n=3,139/169,,skipped"]
+
+
+def _family_call(family: str, params: str):
+    """The constructor call each verify family made before it used expressions."""
+    v = {key: int(value) for key, value in (kv.split("=") for kv in params.split(","))}
+    cap = 1024
+    if family == "dihedral":
+        return dihedral(v["m"], max_order=cap)
+    if family == "quaternion":
+        return generalized_quaternion(v["n"], max_order=cap)
+    if family == "semidihedral":
+        return quasidihedral(v["n"], max_order=cap)
+    if family == "pgroup":
+        return p_group_P(v["n"], v["p"], v["q"], max_order=cap)
+    if family == "ep3":
+        return heisenberg_E(v["p"], max_order=cap)
+    return direct_product(cyclic(2 ** v["n"], max_order=cap), generalized_quaternion(3), max_order=cap)
+
+
+@pytest.mark.parametrize(
+    "family, span",
+    [
+        ("dihedral", range(2, 61)),
+        ("quaternion", range(3, 10)),
+        ("semidihedral", range(4, 10)),
+        ("pgroup", range(3, 7)),
+        ("ep3", range(3, 8)),
+        ("zq8bound", range(2, 8)),
+    ],
+)
+def test_verify_expressions_build_the_family_tables(family, span):
+    caps = Caps(None, None, None)
+    seen = 0
+    for value in span:
+        for params, _, text in _verify_cases(family, value, caps):
+            built = evaluate(parse(text), max_order=1024)
+            assert built.table == _family_call(family, params).table, (family, params, text)
+            seen += 1
+    assert seen > 0
 
 
 def test_scan_csd_star(capsys):

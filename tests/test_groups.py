@@ -444,6 +444,16 @@ def test_validate_accepts_a_large_group_without_associativity():
         ([[0, 1], [1, 1]], "bad", "powers of element 1 never reach 0 in table for 'bad'"),
         ([[0, 1, 2], [1, 2, 1], [2, 1, 2]], "bad", "powers of element 1 never reach 0 in table for 'bad'"),
         ([[0, 1], [1]], "short", "table for 'short' is not square"),
+        (
+            [[0, 1, 2], [1, 7, 0], [2, 0, 1]],
+            "x",
+            "powers of element 1 reach table entry 7, out of range 0..2, in table for 'x'",
+        ),
+        (
+            [[0, 1, 2], [1, -1, 0], [2, 0, 1]],
+            "x",
+            "powers of element 1 reach table entry -1, out of range 0..2, in table for 'x'",
+        ),
     ],
 )
 def test_finite_group_rejects_a_table_that_is_not_a_group(table, label, message):
