@@ -16,6 +16,7 @@ when asked for (--timing), so default reports stay deterministic.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -65,11 +66,9 @@ def _resolve_caps(args: argparse.Namespace) -> Caps:
         env = os.environ.get("CSDLAB_MAX_ORDER")
         if env is not None:
             try:
-                order = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"CSDLAB_MAX_ORDER must be an integer, got {env!r}"
-                ) from None
+                order = _positive_int(env)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"CSDLAB_MAX_ORDER {exc}") from None
     return Caps(order, args.max_lattice_order, args.max_sections_order)
 
 
@@ -94,7 +93,7 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -207,6 +206,10 @@ def _parse_range(text: str) -> range:
 
 
 def _verify_rows(family: str, span: range, caps: Caps) -> list[dict[str, object]]:
+    if family == "pgroup":  # |P(n,p,q)| >= 2*3^(n-1): stop at the first n where that passes the cap
+        limit = _cap(caps.order)
+        stop = next(n for n in itertools.count(2) if 2 * 3 ** (n - 1) > limit)
+        span = range(span.start, min(span.stop, stop))
     rows = []
     for value in span:
         for params, formula, text in _verify_cases(family, value, caps):
@@ -402,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default="text")
     common.add_argument("--decimal", action="store_true", help="render degrees as 6-significant-digit decimals")
     common.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for batch entries and scan groups")
-    common.add_argument("--max-order", type=int, default=None, help=f"group order guardrail (default {DEFAULT_MAX_ORDER}; env CSDLAB_MAX_ORDER)")
-    common.add_argument("--max-lattice-order", type=int, default=None, help=f"full-lattice guardrail (default {DEFAULT_MAX_LATTICE_ORDER})")
-    common.add_argument("--max-sections-order", type=int, default=None, help=f"sections guardrail (default {DEFAULT_MAX_SECTIONS_ORDER})")
+    common.add_argument("--max-order", type=_positive_int, default=None, help=f"group order guardrail (default {DEFAULT_MAX_ORDER}; env CSDLAB_MAX_ORDER)")
+    common.add_argument("--max-lattice-order", type=_positive_int, default=None, help=f"full-lattice guardrail (default {DEFAULT_MAX_LATTICE_ORDER})")
+    common.add_argument("--max-sections-order", type=_positive_int, default=None, help=f"sections guardrail (default {DEFAULT_MAX_SECTIONS_ORDER})")
 
     parser = argparse.ArgumentParser(prog="csdlab", description="Cyclic subgroup commutativity degree laboratory")
     verbs = parser.add_subparsers(dest="verb", required=True)

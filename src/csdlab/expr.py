@@ -21,12 +21,15 @@ errors carry the source span of the offending term.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Union
 
 from .groups import (
     FiniteGroup,
     Permutation,
+    _check_order,
+    _cycle_images,
     cyclic,
     dihedral,
     direct_product,
@@ -262,11 +265,18 @@ def evaluate(expr: GroupExpr, max_order: int | None = None) -> FiniteGroup:
         right = evaluate(expr.right, max_order)
         return direct_product(left, right, max_order=max_order)
     if isinstance(expr, Perm):
+        # closed on the points it moves, renumbered in order: fixed points change
+        # no product, and the label keeps the declared degree and points
         try:
-            gens = [Permutation.from_cycles(c, expr.degree) for c in expr.gens]
-            return from_generators(expr.degree, gens, max_order=max_order)
+            maps = [_cycle_images(cycles, expr.degree) for cycles in expr.gens]
         except ValueError as exc:
             raise ExprError(str(exc), expr.span) from exc
+        points = sorted(set().union(*maps))
+        rank = {x: r for r, x in enumerate(points)}
+        gens = [Permutation(tuple(rank[m.get(x, x)] for x in points)) for m in maps]
+        shown = (re.sub(r"\d+", lambda d: str(points[int(d[0])]), g.to_cycles()) for g in gens)
+        label = f"Perm({expr.degree}; {', '.join(shown)})"
+        return from_generators(len(points), gens, max_order=max_order, label=label)
     assert isinstance(expr, Family)
     try:
         return _family(expr, max_order)
@@ -284,13 +294,14 @@ def _family(expr: Family, max_order: int | None) -> FiniteGroup:
     if name == "Ea":
         p, k = _need(expr, 2)
         return elementary_abelian(p, k, max_order=max_order)
-    if name == "D":
+    if name in ("D", "Q", "SD", "M", "E"):  # named by order: the cap comes before the shape
         (k,) = _need(expr, 1)
+        _check_order(k, max_order)
+    if name == "D":
         if k % 2 or k < 4:
             raise ExprError(f"dihedral order must be even and >= 4, got {k}", expr.span)
         return dihedral(k // 2, max_order=max_order)
     if name == "Q":
-        (k,) = _need(expr, 1)
         pp = prime_power(k)
         if pp is None or pp[0] != 2 or pp[1] < 3:
             raise ExprError(
@@ -299,7 +310,6 @@ def _family(expr: Family, max_order: int | None) -> FiniteGroup:
             )
         return generalized_quaternion(pp[1], max_order=max_order)
     if name == "SD":
-        (k,) = _need(expr, 1)
         pp = prime_power(k)
         if pp is None or pp[0] != 2 or pp[1] < 4:
             raise ExprError(
@@ -307,7 +317,6 @@ def _family(expr: Family, max_order: int | None) -> FiniteGroup:
             )
         return quasidihedral(pp[1], max_order=max_order)
     if name == "M":
-        (k,) = _need(expr, 1)
         pp = prime_power(k)
         if pp is None:
             raise ExprError(f"modular group order must be a prime power, got {k}", expr.span)
@@ -319,7 +328,6 @@ def _family(expr: Family, max_order: int | None) -> FiniteGroup:
         m, n, r = _need(expr, 3)
         return zm_group(m, n, r, max_order=max_order)
     if name == "E":
-        (k,) = _need(expr, 1)
         pp = prime_power(k)
         if pp is None or pp[1] != 3:
             raise ExprError(

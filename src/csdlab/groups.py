@@ -5,12 +5,16 @@ Elements of a group of order n are the integers 0..n-1 with identity 0;
 classical families (cyclic, elementary abelian, dihedral, generalized
 quaternion, quasi-dihedral, modular, elementary-abelian-by-cyclic,
 metacyclic, Heisenberg) plus permutation-generator closure, direct
-products and quotients. Every family gives its product on element
-indices (the cyclic and metacyclic ones through ``_metacyclic``) and a
-few generators, and its table is built along the generator tree by
-``_cayley_rows``; nothing is solved from a presentation. Only the
-derived constructions (``direct_product``, ``quotient``,
-``subgroup_as_group``, ``relabel``) fill a table from existing tables.
+products and quotients. Every family gives right and left
+multiplication by a few generators, and its table is built along the
+generator tree by ``_cayley_rows``; nothing is solved from a
+presentation. The cyclic and metacyclic families share one product on
+indices, ``_metacyclic``. The elementary abelian, P and E families are
+one split product F_p^k ⋊ Z_q, ``_split``, whose generators move whole
+blocks of indices. Only the derived constructions (``direct_product``,
+``quotient``, ``subgroup_as_group``, ``relabel``) fill a table from
+existing tables. Each constructor checks its order against the
+guardrail before any primality test or large power.
 """
 
 from __future__ import annotations
@@ -37,6 +41,19 @@ def _check_order(
     cap = _cap(max_order, default)
     if order > cap:
         raise GuardrailExceeded(f"order {order} exceeds {kind} {cap}")
+
+
+def _check_power_order(p: int, k: int, max_order: int | None, factor: int = 1) -> int:
+    """The order factor * p^k (p >= 2, k >= 0), once it passes the guardrail.
+    An exponent at or past the cap's bit length is over it, as p^k >= 2^k,
+    and is reported without forming the power."""
+    cap = _cap(max_order)
+    if k >= cap.bit_length():
+        shown = f"{p}^{k}" if factor == 1 else f"{p}^{k}*{factor}"
+        raise GuardrailExceeded(f"order {shown} exceeds max order {cap}")
+    order = factor * p**k
+    _check_order(order, max_order)
+    return order
 
 
 class FiniteGroup:
@@ -247,18 +264,8 @@ class Permutation:
                     raise ValueError(f"unclosed cycle in {text!r}")
                 cycles.append([int(tok) for tok in s[pos + 1 : end].split()])
                 pos = end + 1
-        images = list(range(degree))
-        seen: set[int] = set()
-        for cycle in cycles:
-            for i in cycle:
-                if not 0 <= i < degree:
-                    raise ValueError(f"cycle entry {i} out of range for degree {degree}")
-                if i in seen:
-                    raise ValueError(f"cycles are not disjoint: {i} repeats")
-                seen.add(i)
-            for k, i in enumerate(cycle):
-                images[i] = cycle[(k + 1) % len(cycle)]
-        return cls(tuple(images))
+        images = _cycle_images(cycles, degree)
+        return cls(tuple(images.get(i, i) for i in range(degree)))
 
     def to_cycles(self) -> str:
         """Canonical disjoint-cycle string: cycles by minimal element, fixed points omitted."""
@@ -277,6 +284,19 @@ class Permutation:
                 j = self.images[j]
             out.append("(" + " ".join(map(str, cycle)) + ")")
         return "".join(out) if out else "()"
+
+
+def _cycle_images(cycles: Sequence[Sequence[int]], degree: int) -> dict[int, int]:
+    """The image of each point in the disjoint cycles; every point must lie in 0..degree-1."""
+    images: dict[int, int] = {}
+    for cycle in cycles:
+        for k, i in enumerate(cycle):
+            if not 0 <= i < degree:
+                raise ValueError(f"cycle entry {i} out of range for degree {degree}")
+            if i in images:
+                raise ValueError(f"cycles are not disjoint: {i} repeats")
+            images[i] = cycle[(k + 1) % len(cycle)]
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +565,6 @@ def _cayley_rows(n: int, rmul: list[list[int]], lmul: list[list[int]]) -> list[t
     return rows
 
 
-def _product_table(n: int, mul, gens: list[int]) -> list[tuple[int, ...]]:
-    """Cayley table of an order-n group from its product on indices and
-    generator indices; ``mul`` runs only 2n times per generator."""
-    rmul = [[mul(u, g) for u in range(n)] for g in gens]
-    lmul = [[mul(g, v) for v in range(n)] for g in gens]
-    return _cayley_rows(n, rmul, lmul)
-
-
 def _metacyclic(m: int, k: int, mult: list[int], wrap: int, label: str) -> FiniteGroup:
     """The group <x, y> of order m*k with x^m = 1, y^k = x^wrap and
     y^s x^j y^-s = x^(j * mult[s]); x^i y^s has index s*m + i.
@@ -573,7 +585,42 @@ def _metacyclic(m: int, k: int, mult: list[int], wrap: int, label: str) -> Finit
         return u * m + (i + j * mult[s]) % m
 
     gens = [g for g in (1 % m, m) if 0 < g < n]
-    return FiniteGroup(_product_table(n, mul, gens), label)
+    rmul = [[mul(u, g) for u in range(n)] for g in gens]
+    lmul = [[mul(g, v) for v in range(n)] for g in gens]
+    return FiniteGroup(_cayley_rows(n, rmul, lmul), label)
+
+
+def _split(p: int, k: int, q: int, act, gens: list[int], label: str) -> FiniteGroup:
+    """The group of pairs (s, v), s in Z_q and v in F_p^k, with product
+    (s, v)(t, w) = (s + t, v + A^s w) for the linear map A = ``act`` on
+    coordinate tuples (A^q = 1). (s, v) has index s*p^k + v, v read in base
+    p with its first coordinate most significant. A generator (t, w) moves
+    whole blocks of p^k indices: right multiplication translates block s
+    by A^s w, left multiplication sends v to w + A^t v.
+    """
+    pk = p**k
+    vecs = list(itertools.product(range(p), repeat=k))
+    index = {v: i for i, v in enumerate(vecs)}
+    a_of = [index[act(v)] for v in vecs]
+
+    def shift(y: int) -> list[int]:  # the index of v + y, for each index v
+        out = [0]
+        for c in vecs[y]:
+            out = [x * p + (d + c) % p for x in out for d in range(p)]
+        return out
+
+    rmul, lmul = [], []
+    for g in gens:
+        t, y = divmod(g, pk)
+        left, right = shift(y), []
+        for s in range(q):
+            right += [(s + t) % q * pk + x for x in shift(y)]
+            y = a_of[y]
+        for _ in range(t):
+            left = [left[x] for x in a_of]
+        rmul.append(right)
+        lmul.append([(s + t) % q * pk + x for s in range(q) for x in left])
+    return FiniteGroup(_cayley_rows(q * pk, rmul, lmul), label)
 
 
 # ---------------------------------------------------------------------------
@@ -590,21 +637,15 @@ def cyclic(n: int, max_order: int | None = None) -> FiniteGroup:
 
 def elementary_abelian(p: int, k: int, max_order: int | None = None) -> FiniteGroup:
     """Direct product of k copies of the cyclic group of prime order p."""
-    if not is_prime(p):
+    if p < 2:
         raise ValueError(f"elementary abelian base {p} is not prime")
     if k < 1:
         raise ValueError(f"elementary abelian rank must be >= 1, got {k}")
-    n = p**k
-    _check_order(n, max_order)
-    elems = list(itertools.product(range(p), repeat=k))
-    index = {v: i for i, v in enumerate(elems)}
-
-    def mul(a: int, b: int) -> int:
-        return index[tuple((x + y) % p for x, y in zip(elems[a], elems[b]))]
-
-    units = [p ** (k - 1 - i) for i in range(k)]  # index of the i-th unit vector
-    table = _product_table(n, mul, units)
-    return FiniteGroup(table, f"Ea({p},{k})")
+    _check_power_order(p, k, max_order)
+    if not is_prime(p):
+        raise ValueError(f"elementary abelian base {p} is not prime")
+    # the first coordinate is the Z_p factor; the unit vectors generate
+    return _split(p, k - 1, p, lambda v: v, [p ** (k - 1 - i) for i in range(k)], f"Ea({p},{k})")
 
 
 def dihedral(m: int, max_order: int | None = None) -> FiniteGroup:
@@ -644,12 +685,13 @@ def modular_group_M(p: int, n: int, max_order: int | None = None) -> FiniteGroup
 
     Requires n >= 3, and n >= 4 when p = 2 (M(8) would be dihedral).
     """
-    if not is_prime(p):
+    if p < 2:
         raise ValueError(f"{p} is not prime")
     if n < 3 or (p == 2 and n < 4):
         raise ValueError(f"modular group needs p^n >= p^3 (n >= 4 for p = 2), got p={p}, n={n}")
-    size = p**n
-    _check_order(size, max_order)
+    size = _check_power_order(p, n, max_order)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     m = p ** (n - 1)
     c = 1 + p ** (n - 2)
     cinv = pow(c, -1, m)  # left-moving multiplier so that y^-1 x y = x^c holds
@@ -695,14 +737,17 @@ def p_group_P(
     prime divisor of p-1, p odd). ``action_power`` overrides r; the
     isomorphism class does not depend on the choice.
     """
-    if not is_prime(p) or p == 2:
+    if p < 3:
         raise ValueError(f"base prime must be odd, got {p}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if not is_prime(q) or (p - 1) % q != 0:
+    if q < 2 or (p - 1) % q != 0:
         raise ValueError(f"q must be a prime divisor of p-1, got p={p}, q={q}")
-    size = p ** (n - 1) * q
-    _check_order(size, max_order)
+    _check_power_order(p, n - 1, max_order, q)
+    if not is_prime(p):
+        raise ValueError(f"base prime must be odd, got {p}")
+    if not is_prime(q):
+        raise ValueError(f"q must be a prime divisor of p-1, got p={p}, q={q}")
     if action_power is None:
         r = next(
             a for a in range(2, p) if multiplicative_order(a, p) == q
@@ -711,43 +756,23 @@ def p_group_P(
         r = action_power % p
         if r in (0, 1) or multiplicative_order(r, p) != q:
             raise ValueError(f"action power {action_power} does not have order {q} mod {p}")
-    # x^s v x^-s scales v by r^-s componentwise (so that x^-1 v x = v^r holds)
+    # x^s v x^-s scales v by r^-s (so that x^-1 v x = v^r holds); x = (1, 0)
+    # and the unit vectors generate
     rinv = pow(r, -1, p)
-    scale = [pow(rinv, s, p) for s in range(q)]
-    k = n - 1
-    vecs = list(itertools.product(range(p), repeat=k))
-    index = {v: i for i, v in enumerate(vecs)}
-    pk = len(vecs)
-
-    def mul(a: int, b: int) -> int:
-        s, vi = divmod(a, pk)
-        t, wi = divmod(b, pk)
-        sc = scale[s]
-        v = tuple((x + y * sc) % p for x, y in zip(vecs[vi], vecs[wi]))
-        return ((s + t) % q) * pk + index[v]
-
-    # x = (1, 0) and the unit vectors of Z_p^(n-1) generate the group
-    gens = [pk] + [p ** (k - 1 - i) for i in range(k)]
-    table = _product_table(size, mul, gens)
-    return FiniteGroup(table, f"P({n},{p},{q})")
+    gens = [p ** (n - 1 - i) for i in range(n)]
+    return _split(p, n - 1, q, lambda v: tuple(x * rinv % p for x in v), gens, f"P({n},{p},{q})")
 
 
 def heisenberg_E(p: int, max_order: int | None = None) -> FiniteGroup:
     """Non-abelian group of order p^3 and exponent p (p odd): unitriangular 3x3 over F_p."""
-    if not is_prime(p) or p == 2:
+    if p < 3:
         raise ValueError(f"need an odd prime, got {p}")
-    size = p**3
-    _check_order(size, max_order)
-    elems = list(itertools.product(range(p), repeat=3))
-    index = {v: i for i, v in enumerate(elems)}
-
-    def mul(x: int, y: int) -> int:
-        (a, b, c), (a2, b2, c2) = elems[x], elems[y]
-        return index[((a + a2) % p, (b + b2) % p, (c + c2 + a * b2) % p)]
-
-    # (1,0,0) and (0,1,0); their commutator is (0,0,1)
-    table = _product_table(size, mul, [p * p, p])
-    return FiniteGroup(table, f"E({size})")
+    size = _check_power_order(p, 3, max_order)
+    if not is_prime(p):
+        raise ValueError(f"need an odd prime, got {p}")
+    # (a, b, c)(a2, b2, c2) = (a + a2, b + b2, c + c2 + a*b2): a acts on (b, c)
+    # by the shear (b, c) -> (b, c + b); (1, 0, 0) and (0, 1, 0) generate
+    return _split(p, 2, p, lambda v: (v[0], (v[1] + v[0]) % p), [p * p, p], f"E({size})")
 
 
 def from_generators(

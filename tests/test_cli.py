@@ -264,6 +264,29 @@ def test_env_var_guardrail(capsys, monkeypatch):
     assert "CSDLAB_MAX_ORDER must be an integer, got 'banana'" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "name", ["--max-order", "--max-lattice-order", "--max-sections-order", "CSDLAB_MAX_ORDER"]
+)
+def test_caps_below_one_exit_2(capsys, monkeypatch, name, value):
+    argv = ["compute", "--group", "D(8)"]
+    if name.startswith("--"):
+        argv += [name, value]
+    else:
+        monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert name in err and f"must be at least 1, got {value}" in err
+
+
+def test_perm_row_does_not_depend_on_the_declared_degree(capsys):
+    _, small, _ = run(capsys, ["compute", "--group", "Perm(2; (0 1))", "--format", "csv"])
+    code, big, _ = run(capsys, ["compute", "--group", "Perm(99999999; (0 1))", "--format", "csv"])
+    assert code == 0
+    assert big == small.replace("Perm(2;", "Perm(99999999;")
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["compute"]) == 2
     capsys.readouterr()
@@ -315,6 +338,14 @@ def test_verify_ep3_guardrail_skip(capsys):
     assert rows[0] == "p=3,22/49,22/49,yes"
     assert rows[1] == "p=5,137/512,137/512,yes"
     assert rows[2].startswith("p=7,") and rows[2].endswith(",skipped")
+
+
+def test_verify_pgroup_stops_once_no_group_fits(capsys):
+    """|P(n,p,q)| >= 2*3^(n-1), so past n = 6 the default cap admits none."""
+    _, expected, _ = run(capsys, ["verify", "pgroup", "2..6"])
+    code, out, _ = run(capsys, ["verify", "pgroup", "2..20000"])
+    assert code == 0
+    assert out == expected
 
 
 def test_verify_pgroup(capsys):

@@ -120,6 +120,41 @@ def test_guardrail_passes_through():
     assert evaluate(parse("S(6)"), max_order=1000).order == 720
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("Q(100000000000000000039)", "order 100000000000000000039 exceeds max order 512"),
+        ("M(1000000000000000003)", "order 1000000000000000003 exceeds max order 512"),
+        ("E(1000000000000000003)", "order 1000000000000000003 exceeds max order 512"),
+        ("Ea(1000000000000000003,1)", "order 1000000000000000003 exceeds max order 512"),
+        ("P(2,1000000000000000003,2)", "order 2000000000000000006 exceeds max order 512"),
+        ("Ea(3,100000000)", "order 3^100000000 exceeds max order 512"),
+        ("P(100000000,3,2)", "order 3^99999999*2 exceeds max order 512"),
+        # over the cap and of the wrong shape: the cap is named first
+        ("Q(1000)", "order 1000 exceeds max order 512"),
+        ("D(1001)", "order 1001 exceeds max order 512"),
+    ],
+)
+def test_guardrail_comes_before_factoring_and_powers(text, message):
+    with pytest.raises(GuardrailExceeded) as info:
+        evaluate(parse(text))
+    assert str(info.value) == message
+
+
+def test_perm_is_built_on_its_moved_points():
+    """Fixed points change no product: the table is that of the moved
+    points, and the label keeps the declared degree."""
+    sparse = evaluate(parse("Perm(10; (2 5), (5 7 9))"))
+    dense = evaluate(parse("Perm(4; (0 1), (1 2 3))"))
+    assert sparse.table == dense.table
+    assert sparse.label == "Perm(10; (2 5), (5 7 9))"
+    big = evaluate(parse("Perm(99999999; (1 0), ())"))
+    assert big.table == evaluate(parse("Perm(2; (0 1))")).table
+    assert big.label == "Perm(99999999; (0 1), ())"
+    with pytest.raises(ExprError, match="cycle entry 10 out of range for degree 10"):
+        evaluate(parse("Perm(10; (2 5), (10 7))"))
+
+
 def test_unknown_family_is_a_parse_error():
     with pytest.raises(ParseError):
         parse("W(5)xZ(3)")

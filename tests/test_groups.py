@@ -322,6 +322,55 @@ def test_metacyclic_tables_satisfy_presentation(build, m, k, wrap, c):
     assert g.mul(g.mul(g.inv(y), x), y) == g.power(x, c)
 
 
+@pytest.mark.parametrize(
+    "build,p,k,q,conj",
+    [
+        (lambda: elementary_abelian(2, 1), 2, 0, 2, lambda v: v),
+        (lambda: elementary_abelian(3, 3), 3, 2, 3, lambda v: v),
+        (lambda: elementary_abelian(2, 6), 2, 5, 2, lambda v: v),
+        (lambda: p_group_P(2, 3, 2), 3, 1, 2, lambda v: tuple(2 * c % 3 for c in v)),
+        (lambda: p_group_P(3, 7, 3), 7, 2, 3, lambda v: tuple(2 * c % 7 for c in v)),
+        (lambda: p_group_P(3, 7, 3, action_power=4), 7, 2, 3, lambda v: tuple(4 * c % 7 for c in v)),
+        (lambda: p_group_P(4, 3, 2), 3, 3, 2, lambda v: tuple(2 * c % 3 for c in v)),
+        (lambda: heisenberg_E(3), 3, 2, 3, lambda v: (v[0], (v[1] - v[0]) % 3)),
+        (lambda: heisenberg_E(5), 5, 2, 5, lambda v: (v[0], (v[1] - v[0]) % 5)),
+    ],
+    ids=[
+        "Ea(2,1)", "Ea(3,3)", "Ea(2,6)", "P(2,3,2)", "P(3,7,3)", "P(3,7,3)^4", "P(4,3,2)",
+        "E(27)", "E(125)",
+    ],
+)
+def test_split_tables_satisfy_presentation(build, p, k, q, conj):
+    """v x^s sits at index s*p^k + v, v read in base p with its first
+    coordinate most significant: x at p^k, the i-th unit vector at
+    p^(k-1-i). x has order q, the unit vectors have order p and commute,
+    and x^-1 v x = conj(v). An order-q*p^k group with these relations and
+    this indexing has exactly one Cayley table, so this pins every entry."""
+    g = build()
+    validate(g)
+    pk = p**k
+    assert g.order == q * pk
+    x = pk
+    units = [p ** (k - 1 - i) for i in range(k)]
+
+    def element(v):
+        e = 0
+        for u, c in zip(units, v):
+            e = g.mul(e, g.power(u, c))
+        return e
+
+    vecs = list(itertools.product(range(p), repeat=k))
+    for s in range(q):
+        for i, v in enumerate(vecs):
+            assert g.mul(element(v), g.power(x, s)) == s * pk + i
+    assert g.elem_order[x] == q
+    for u in units:
+        assert g.elem_order[u] == p
+        assert all(g.mul(u, w) == g.mul(w, u) for w in units)
+    for v in vecs:
+        assert g.mul(g.mul(g.inv(x), element(v)), x) == element(conj(v))
+
+
 def test_permutation_cycles_round_trip():
     p = Permutation.from_cycles("(0 1)(2 3)", 4)
     assert p.to_cycles() == "(0 1)(2 3)"
@@ -542,3 +591,29 @@ def test_guardrail_on_constructors():
     with pytest.raises(GuardrailExceeded):
         cyclic(513)
     assert cyclic(513, max_order=1000).order == 513
+
+
+BIG_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: elementary_abelian(BIG_PRIME, 1), f"order {BIG_PRIME} exceeds max order 512"),
+        (lambda: elementary_abelian(3, 100000000), "order 3^100000000 exceeds max order 512"),
+        (lambda: elementary_abelian(2, 10), "order 2^10 exceeds max order 512"),
+        (lambda: elementary_abelian(3, 6), "order 729 exceeds max order 512"),
+        (lambda: p_group_P(2, BIG_PRIME, 2), f"order {2 * BIG_PRIME} exceeds max order 512"),
+        (lambda: p_group_P(100000000, 3, 2), "order 3^99999999*2 exceeds max order 512"),
+        (lambda: modular_group_M(BIG_PRIME, 3), f"order {BIG_PRIME**3} exceeds max order 512"),
+        (lambda: modular_group_M(2, 100000000), "order 2^100000000 exceeds max order 512"),
+        (lambda: heisenberg_E(BIG_PRIME), f"order {BIG_PRIME**3} exceeds max order 512"),
+        (lambda: heisenberg_E(11, max_order=1000), "order 1331 exceeds max order 1000"),
+    ],
+    ids=["Ea-prime", "Ea-rank", "Ea(2,10)", "Ea(3,6)", "P-prime", "P-rank", "M-prime", "M-rank", "E-prime", "E(1331)"],
+)
+def test_constructor_guardrail_comes_before_primality_and_powers(build, message):
+    """The cap is checked after the range checks but before a primality
+    test or a power that would run for a huge parameter."""
+    with pytest.raises(GuardrailExceeded, match=f"^{re.escape(message)}$"):
+        build()

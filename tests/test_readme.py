@@ -1,7 +1,9 @@
 """README.md examples, checked against the real program."""
 
+import ast
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,19 @@ def test_readme_cli_example(capsys, argv, shown):
 def test_readme_python_api_example():
     (code,) = [body for lang, body in BLOCKS if lang == "python"]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_engine_imports_only_the_standard_library():
+    """README: the engine has no runtime dependencies outside the standard library."""
+    src = Path(__file__).resolve().parents[1] / "src" / "csdlab"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "csdlab" or top in sys.stdlib_module_names, (path.name, name)
