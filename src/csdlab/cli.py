@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 import time
@@ -138,6 +137,8 @@ def _batch_tasks(args: argparse.Namespace, caps: Caps) -> list[tuple]:
     else:
         with open(args.batch, "r", encoding="utf-8") as handle:
             raw = handle.read()
+    import json  # loaded only for --batch
+
     try:
         entries = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -212,17 +213,20 @@ def _verify_rows(family: str, span: range, caps: Caps) -> list[dict[str, object]
         span = range(span.start, min(span.stop, stop))
     rows = []
     for value in span:
-        for params, formula, text in _verify_cases(family, value, caps):
-            row: dict[str, object] = {"params": params, "formula": formula}
-            rows.append(row)
-            try:
-                group = _evaluate(text, caps)
-            except GuardrailExceeded:
-                row["match"] = "skipped"
-                continue
-            brute = csd(group, max_order=group.order)
-            holds = brute >= formula if family == "zq8bound" else brute == formula
-            row.update(brute=brute, match="yes" if holds else "no")
+        try:
+            for params, formula, text in _verify_cases(family, value, caps):
+                row: dict[str, object] = {"params": params, "formula": formula}
+                rows.append(row)
+                try:
+                    group = _evaluate(text, caps)
+                except GuardrailExceeded:
+                    row["match"] = "skipped"
+                    continue
+                brute = csd(group, max_order=group.order)
+                holds = brute >= formula if family == "zq8bound" else brute == formula
+                row.update(brute=brute, match="yes" if holds else "no")
+        except ValueError as exc:  # such as an expression past the int-to-str digit limit
+            raise ValueError(f"verify {family} {value}: {exc}") from exc
     return rows
 
 

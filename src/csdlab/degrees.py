@@ -16,9 +16,9 @@ and commutativity, so csd and sd test one subgroup per conjugacy orbit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Frozen
 from .groups import FiniteGroup, _check_order, _conjugation_maps
 from .lattice import (
     DEFAULT_MAX_LATTICE_ORDER,
@@ -126,8 +126,7 @@ def csd_coprime_product(degrees: list[Degree]) -> Degree:
     return out
 
 
-@dataclass(frozen=True)
-class LowerBounds:
+class LowerBounds(Frozen):
     """The three elementary lower bounds on csd(G).
 
     normal_cyclic: |N(G) ∩ L1(G)| / |L1(G)| — normal cyclic subgroups
@@ -138,9 +137,10 @@ class LowerBounds:
         (|L1(M)| / |L1(G)|)^2 — permuting pairs inside M stay permuting.
     """
 
-    normal_cyclic: Degree
-    pair_floor: Degree
-    abelian_subgroup: Degree
+    __slots__ = ("normal_cyclic", "pair_floor", "abelian_subgroup")
+
+    def __init__(self, normal_cyclic: Degree, pair_floor: Degree, abelian_subgroup: Degree):
+        self._fill(normal_cyclic, pair_floor, abelian_subgroup)
 
     def all(self) -> tuple[Degree, Degree, Degree]:
         return (self.normal_cyclic, self.pair_floor, self.abelian_subgroup)

@@ -22,9 +22,9 @@ errors carry the source span of the offending term.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Union
 
+from ._record import Frozen
 from .groups import (
     FiniteGroup,
     Permutation,
@@ -73,25 +73,39 @@ class ExprError(ValueError):
         return (type(self), (self.message, self.span))
 
 
-@dataclass(frozen=True)
-class Family:
-    name: str
-    params: tuple[int, ...]
-    span: Span = field(compare=False, default=(0, 0))
+class _Node(Frozen):
+    """A syntax node; `span`, its last field, is left out of == and hash."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return self._values()[:-1]
 
 
-@dataclass(frozen=True)
-class Perm:
-    degree: int
-    gens: tuple[tuple[tuple[int, ...], ...], ...]  # gens -> cycles -> points
-    span: Span = field(compare=False, default=(0, 0))
+class Family(_Node):
+    __slots__ = ("name", "params", "span")
+
+    def __init__(self, name: str, params: tuple[int, ...], span: Span = (0, 0)):
+        self._fill(name, params, span)
 
 
-@dataclass(frozen=True)
-class Product:
-    left: "GroupExpr"
-    right: "GroupExpr"
-    span: Span = field(compare=False, default=(0, 0))
+class Perm(_Node):
+    __slots__ = ("degree", "gens", "span")
+
+    def __init__(
+        self,
+        degree: int,
+        gens: tuple[tuple[tuple[int, ...], ...], ...],  # gens -> cycles -> points
+        span: Span = (0, 0),
+    ):
+        self._fill(degree, gens, span)
+
+
+class Product(_Node):
+    __slots__ = ("left", "right", "span")
+
+    def __init__(self, left: GroupExpr, right: GroupExpr, span: Span = (0, 0)):
+        self._fill(left, right, span)
 
 
 GroupExpr = Union[Family, Perm, Product]

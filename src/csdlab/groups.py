@@ -22,9 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Frozen
 from .errors import GuardrailExceeded
 from .intmath import factorize, is_prime, multiplicative_order
 
@@ -211,16 +211,16 @@ def validate(group: FiniteGroup, check_associativity: bool = True) -> None:
 # Permutations (input format for generator-defined groups)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """Bijection of {0..d-1}, stored as the tuple of images."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        d = len(self.images)
-        if sorted(self.images) != list(range(d)):
-            raise ValueError(f"not a permutation of 0..{d - 1}: {self.images}")
+    def __init__(self, images: tuple[int, ...]):
+        d = len(images)
+        if sorted(images) != list(range(d)):
+            raise ValueError(f"not a permutation of 0..{d - 1}: {images}")
+        self._fill(images)
 
     @property
     def degree(self) -> int:
@@ -775,6 +775,15 @@ def heisenberg_E(p: int, max_order: int | None = None) -> FiniteGroup:
     return _split(p, 2, p, lambda v: (v[0], (v[1] + v[0]) % p), [p * p, p], f"E({size})")
 
 
+def _composer(images: tuple[int, ...]):
+    """x -> x∘images, the tuple (x[images[0]], x[images[1]], ...).
+
+    An itemgetter needs two or more indices to return a tuple. Below
+    degree 2 every permutation is the identity, which ``tuple`` returns.
+    """
+    return operator.itemgetter(*images) if len(images) > 1 else tuple
+
+
 def from_generators(
     degree: int, gens: list[Permutation], max_order: int | None = None, label: str | None = None
 ) -> FiniteGroup:
@@ -791,10 +800,11 @@ def from_generators(
     gen_images = [g.images for g in gens]
     elems = [ident]
     index = {ident: 0}
+    rights = [_composer(gi) for gi in gen_images]
     rmul: list[list[int]] = [[] for _ in gens]
     for u in elems:
-        for gi, rk in zip(gen_images, rmul):
-            w = tuple(u[j] for j in gi)
+        for right, rk in zip(rights, rmul):
+            w = right(u)
             if w not in index:
                 if len(elems) >= cap:
                     raise GuardrailExceeded(
@@ -803,7 +813,8 @@ def from_generators(
                 index[w] = len(elems)
                 elems.append(w)
             rk.append(index[w])
-    lmul = [[index[tuple(gi[j] for j in v)] for v in elems] for gi in gen_images]
+    lefts = [_composer(v) for v in elems]
+    lmul = [[index[left(gi)] for left in lefts] for gi in gen_images]
     table = _cayley_rows(len(elems), rmul, lmul)
     if label is None:
         label = f"Perm({degree}; " + ", ".join(g.to_cycles() for g in gens) + ")"

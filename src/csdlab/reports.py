@@ -10,13 +10,12 @@ byte-identical across repeated runs.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
+
+from ._record import Record
 
 REPORT_FIELDS = (
     "group",
@@ -36,22 +35,30 @@ REPORT_FIELDS = (
 FORMATS = ("json", "csv", "text")
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     """One group's computed degrees; optional fields are None when skipped."""
 
-    group: str
-    order: int
-    l1: int
-    csd: Fraction
-    d: Fraction
-    lattice: int | None = None
-    sd: Fraction | None = None
-    ndeg: Fraction | None = None
-    cdeg: Fraction | None = None
-    csd_star: Fraction | None = None
-    is_iwasawa: bool | None = None
-    wall_ms: float | None = None
+    __slots__ = (
+        "group", "order", "l1", "csd", "d", "lattice", "sd", "ndeg", "cdeg", "csd_star",
+        "is_iwasawa", "wall_ms",
+    )
+
+    def __init__(
+        self,
+        group: str,
+        order: int,
+        l1: int,
+        csd: Fraction,
+        d: Fraction,
+        lattice: int | None = None,
+        sd: Fraction | None = None,
+        ndeg: Fraction | None = None,
+        cdeg: Fraction | None = None,
+        csd_star: Fraction | None = None,
+        is_iwasawa: bool | None = None,
+        wall_ms: float | None = None,
+    ):
+        self._fill(group, order, l1, csd, d, lattice, sd, ndeg, cdeg, csd_star, is_iwasawa, wall_ms)
 
     def cells(self, decimal: bool = False) -> dict[str, object]:
         """Field-name -> JSON-ready value, in REPORT_FIELDS order."""
@@ -75,7 +82,10 @@ def degree_str(value: Fraction | None, decimal: bool = False) -> str | None:
         return None
     if decimal:
         return decimal_str(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past the int-to-str digit limit; an int becomes a Decimal exactly
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def _json_cell(value: object, decimal: bool) -> object:
@@ -104,9 +114,13 @@ def emit_rows(
     """
     shaped = [[_json_cell(row.get(name), decimal) for name in fields] for row in rows]
     if fmt == "json":
+        import json  # loaded only for the formats that need it, like csv below
+
         objects = [dict(zip(fields, line)) for line in shaped]
         return (json.dumps(objects, indent=2) + "\n").encode()
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fields)

@@ -21,6 +21,7 @@ from csdlab.groups import (
     p_group_P,
     quasidihedral,
 )
+from csdlab.formulas import csd_quaternion
 from csdlab.reports import decimal_str
 
 HEADER = "group,order,l1,lattice,csd,sd,ndeg,cdeg,d,csd_star,is_iwasawa,wall_ms"
@@ -147,6 +148,40 @@ def test_cli_import_loads_no_process_pool():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_dataclasses_json_or_csv(capsys, tmp_path):
+    """Importing csdlab.cli newly loads none of these; the formats and --batch that
+    need json or csv load it themselves and print what they print in process."""
+    src = str(Path(csdlab.__file__).resolve().parents[1])
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps([{"group": "Z(3)"}, {"group": "S(3)", "ops": ["all"]}]))
+    runs = [
+        ["compute", "--group", "D(8)", "--format", "json"],
+        ["compute", "--group", "D(8)", "--format", "csv"],
+        ["compute", "--batch", str(batch)],
+    ]
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import csdlab.cli\n"
+        "loaded = {'dataclasses', 'inspect', 'json', 'csv'} & (set(sys.modules) - before)\n"
+        "print(sorted(loaded), flush=True)\n"
+        f"for argv in {runs!r}:\n"
+        "    assert csdlab.cli.main(argv) == 0, argv\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    expected = ""
+    for argv in runs:
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        expected += out
+    assert done.stdout == "[]\n" + expected
 
 
 def test_batch_file(capsys, tmp_path):
@@ -321,6 +356,33 @@ def test_verify_quaternion(capsys):
     rows = out.splitlines()[1:]
     assert len(rows) == 4
     assert all(row.endswith(",yes") for row in rows)
+
+
+def test_verify_prints_formula_cells_past_the_int_digit_limit(capsys):
+    """csd_quaternion(7150) has a denominator of more than 4300 digits, past
+    Python's int-to-str limit; its skipped row still prints the exact cell."""
+    code, out, err = run(capsys, ["verify", "quaternion", "7149..7150", "--format", "csv"])
+    assert code == 0, err
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert [(row[0], row[2], row[3]) for row in rows] == [
+        ("n=7149", "", "skipped"),
+        ("n=7150", "", "skipped"),
+    ]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [Fraction(row[1]) for row in rows] == [csd_quaternion(7149), csd_quaternion(7150)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(rows[1][1].split("/")[1]) > limit
+
+
+def test_verify_names_a_point_whose_group_cannot_be_written(capsys):
+    # Q(2^14285) has an order of more than 4300 decimal digits
+    code, out, err = run(capsys, ["verify", "quaternion", "14285..14285"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: verify quaternion 14285: ")
 
 
 def test_verify_semidihedral_mismatch_exit_1(capsys):

@@ -196,6 +196,13 @@ def test_from_generators_empty_is_trivial():
     assert g.order == 1
 
 
+@pytest.mark.parametrize("degree", [0, 1])
+def test_from_generators_below_degree_two_is_trivial(degree):
+    g = from_generators(degree, [Permutation.identity(degree)] * 2)
+    assert g.table == ((0,),)
+    assert g.label == f"Perm({degree}; (), ())"
+
+
 def test_from_generators_guardrail():
     images = tuple([1, 2, 3, 4, 5, 6, 7, 8, 9, 0])
     with pytest.raises(GuardrailExceeded):
