@@ -46,8 +46,15 @@ def csd(group: FiniteGroup, jobs: int | None = None, max_order: int | None = Non
 
 
 def sd(group: FiniteGroup, max_order: int | None = None) -> Degree:
-    """Subgroup commutativity degree over the full lattice."""
-    lat = subgroup_lattice(group, max_order=max_order)
+    """Subgroup commutativity degree over the full lattice.
+
+    1 with no lattice built if csd(G) = 1: G is then Iwasawa (see
+    is_iwasawa). The lattice guardrail applies either way.
+    """
+    _check_order(group.order, max_order, DEFAULT_MAX_LATTICE_ORDER, "lattice max order")
+    if csd(group, max_order=group.order) == 1:
+        return Fraction(1)
+    lat = subgroup_lattice(group, max_order=group.order)
     m = len(lat.subgroups)
     return Fraction(count_permuting_pairs(lat.subgroups), m * m)
 

@@ -6,10 +6,10 @@ classical families (cyclic, elementary abelian, dihedral, generalized
 quaternion, quasi-dihedral, modular, elementary-abelian-by-cyclic,
 metacyclic, Heisenberg) plus permutation-generator closure, direct
 products and quotients. Every family gives right and left
-multiplication by a few generators, and its table is built along the
-generator tree by ``_cayley_rows``; nothing is solved from a
-presentation. The cyclic and metacyclic families share one product on
-indices, ``_metacyclic``. The elementary abelian, P and E families are
+multiplication by a few generators, and ``_tree_group`` keeps their
+BFS tree, from which each table row is built on first use; nothing is
+solved from a presentation. The cyclic and metacyclic families share
+one product on indices, ``_metacyclic``. The elementary abelian, P and E families are
 one split product F_p^k ⋊ Z_q, ``_split``, whose generators move whole
 blocks of indices. Only the derived constructions (``direct_product``,
 ``quotient``, ``subgroup_as_group``, ``relabel``) fill a table from
@@ -67,9 +67,19 @@ class FiniteGroup:
         elem_order: elem_order[a] is the least k >= 1 with a^k = identity.
         label: descriptive name, e.g. "D(8)" or "Z(4)xQ(8)".
 
-    One power walk per cyclic subgroup fills these and ``_cyclic_of[a]``,
-    the mask of <a>. Never mutated after construction, apart from private
-    caches: the conjugation maps (``_conj_maps``) and the collections that
+    A group built along a generator tree (every family and
+    ``from_generators``, see ``_tree_group``) keeps the tree, not its rows:
+    row a is built on first use, by one gather from its parent's row
+    (``_row``), and reading ``table`` builds the missing rows once. A group
+    given a full table has every row from the start. ``mul``, ``power``,
+    ``Subgroup.check`` and ``lattice.product_set`` read only the rows they
+    use, so csd and d of a large group build few rows.
+
+    Element orders, inverses and ``_cyclic_of[a]`` (the mask of <a>) come
+    from one power walk, on the element's own row, per conjugacy class of
+    cyclic subgroups; the whole-group conjugation maps (``_conj_maps``) carry
+    each walk to the rest of its class. Never mutated after construction,
+    apart from the rows and private caches: the collections that
     lattice.cyclic_subgroups and lattice.subgroup_lattice return
     (``_cyclic_poset``, ``_lattice``). The cached Subgroups hold the group,
     a reference cycle that the cyclic garbage collector frees.
@@ -77,11 +87,13 @@ class FiniteGroup:
 
     __slots__ = (
         "order",
-        "table",
         "identity",
         "inverse",
         "elem_order",
         "label",
+        "_rows",
+        "_table",
+        "_tree",
         "_cyclic_of",
         "_conj_maps",
         "_cyclic_poset",
@@ -93,75 +105,148 @@ class FiniteGroup:
         if n == 0:
             raise ValueError("group must have at least one element")
         self.order = n
-        self.table = t = tuple(tuple(row) for row in table)
+        self._rows = self._table = t = tuple(tuple(row) for row in table)
+        self._tree = None
         if any(len(row) != n for row in t):
             raise ValueError(f"table for {label!r} is not square")
-        self.identity = 0
         for a in range(n):
             if t[0][a] != a or t[a][0] != a:
                 raise ValueError(f"element 0 is not an identity in table for {label!r}")
-        # one power walk per cyclic subgroup, from its least generator a:
-        # each a^k with gcd(k, o) = 1 has order o, inverse a^(o-k) and <a^k> = <a>
+        self._walk_elements(label, None)
+
+    @classmethod
+    def _from_tree(
+        cls, parent: list[int], step: list, rights: list[list[int]], label: str
+    ) -> FiniteGroup:
+        """The group whose row w is ``step[w](row of parent[w])``, built on
+        first use; ``rights`` are the maps x -> x*g of its generators g."""
+        self = cls.__new__(cls)
+        n = self.order = len(parent)
+        self._rows = [None] * n
+        self._rows[0] = tuple(range(n))
+        self._table = None
+        self._tree = (parent, step)
+        self._walk_elements(label, rights)
+        return self
+
+    def _walk_elements(self, label: str, rights: list[list[int]] | None) -> None:
+        """Fill the element data (see the class docstring) and the whole-group
+        conjugation maps, from the generators' right multiplications
+        ``rights`` or, given None, from the greedy chain and the table's
+        columns. Element 1 is walked before the maps are built, so a table
+        that is not a group is named by that walk, not by a closure."""
+        n = self.order
+        self.identity = 0
+        self.label = label
         inverse, elem_order, cyclic_of, units = [0] * n, [1] * n, [1] * n, {}
-        for a in range(1, n):
-            if elem_order[a] > 1:
-                continue
-            x = t[a][a]
-            mask = 1 | 1 << a
-            if x == 0:  # an involution is its own inverse and <a>'s only generator
-                elem_order[a], inverse[a], cyclic_of[a] = 2, a, mask
-                continue
-            powers = [0, a]
-            while x != 0:
-                if not 0 < x < n:
-                    raise ValueError(
-                        f"powers of element {a} reach table entry {x}, out of range 0..{n - 1},"
-                        f" in table for {label!r}"
-                    )
-                if len(powers) == n:
-                    raise ValueError(f"powers of element {a} never reach 0 in table for {label!r}")
-                powers.append(x)
-                mask |= 1 << x
-                x = t[x][a]
+
+        def fill(powers: list[int]) -> None:
+            # each a^k with gcd(k, o) = 1 has order o, inverse a^(o-k) and <a^k> = <a>
             o = len(powers)
             if o not in units:
                 units[o] = [k for k in range(1, o) if math.gcd(k, o) == 1]
+            mask = _mask_of(powers)
             for k in units[o]:
                 y = powers[k]
                 elem_order[y], inverse[y], cyclic_of[y] = o, powers[o - k], mask
+
+        maps = None
+        for a in range(1, n):
+            if elem_order[a] > 1:
+                continue
+            walk = self._powers(a)
+            fill(walk)
+            if maps is None:
+                if rights is None:
+                    rights = _right_maps(self, _generator_chain(self, range(n))[1])
+                maps = _maps_through(self, rights)
+            # conjugation is an automorphism: c maps the powers of a to those of c(a)
+            todo = [walk]
+            for powers in todo:
+                for c in maps:
+                    image = [c[x] for x in powers]
+                    if elem_order[image[1]] == 1:
+                        fill(image)
+                        todo.append(image)
         self.inverse = tuple(inverse)
         self.elem_order = tuple(elem_order)
         self._cyclic_of = tuple(cyclic_of)
-        self.label = label
-        self._conj_maps: list[tuple[int, ...]] | None = None
+        self._conj_maps: list[tuple[int, ...]] = maps or []
         self._cyclic_poset = None
         self._lattice = None
+
+    def _powers(self, a: int) -> list[int]:
+        """[0, a, a^2, ..., a^(o-1)] (0 the identity) for a != 0, walked on
+        a's own row: a^(k+1) = a * a^k."""
+        n = self.order
+        row = self._row(a)
+        powers = [0, a]
+        x = row[a]
+        while x != 0:
+            if not 0 < x < n:
+                raise ValueError(
+                    f"powers of element {a} reach table entry {x}, out of range 0..{n - 1},"
+                    f" in table for {self.label!r}"
+                )
+            if len(powers) == n:
+                raise ValueError(f"powers of element {a} never reach 0 in table for {self.label!r}")
+            powers.append(x)
+            x = row[x]
+        return powers
+
+    def _row(self, a: int) -> tuple[int, ...]:
+        """Row a of the table, built with its missing ancestors in the tree."""
+        rows = self._rows
+        row = rows[a]
+        if row is None:
+            parent, step = self._tree
+            path = []
+            while row is None:
+                path.append(a)
+                a = parent[a]
+                row = rows[a]
+            for w in reversed(path):
+                row = rows[w] = step[w](row)
+        return row
+
+    def _built(self) -> int:
+        """How many rows of the table are built so far."""
+        return self.order - self._rows.count(None)
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The whole table; the rows not yet built are built once, here."""
+        if self._table is None:
+            self._table = self._rows = tuple(map(self._row, range(self.order)))
+            self._tree = None
+        return self._table
 
     def _check_index(self, *elems: int) -> None:
         if not all(0 <= a < self.order for a in elems):
             raise IndexError(f"element index out of range for group of order {self.order}")
 
     def mul(self, a: int, b: int) -> int:
-        """Product of elements a and b (table lookup)."""
+        """Product of elements a and b, read from row a."""
         self._check_index(a, b)
-        return self.table[a][b]
+        return self._row(a)[b]
 
     def inv(self, a: int) -> int:
         self._check_index(a)
         return self.inverse[a]
 
     def power(self, a: int, k: int) -> int:
-        """a^k for any integer k; k counts modulo the order of a."""
+        """a^k for any integer k; k counts modulo the order of a. Reads row a."""
         self._check_index(a)
+        row = self._row(a)
         acc = 0
         for _ in range(k % self.elem_order[a]):
-            acc = self.table[acc][a]
+            acc = row[acc]
         return acc
 
     @property
     def is_abelian(self) -> bool:
         """True iff every generator is central, i.e. no conjugation map is left."""
-        return not _conjugation_maps(self)
+        return not self._conj_maps
 
     def __len__(self) -> int:
         return self.order
@@ -174,9 +259,12 @@ def validate(group: FiniteGroup, check_associativity: bool = True) -> None:
     """Full Cayley-table validation; raises ValueError on the first defect.
 
     Construction already rejects a table that is not square, whose
-    element 0 is not an identity, or whose power walks read an entry
-    outside 0..n-1 or never reach 0. The associativity sweep is O(n^3) and
-    meant for tests and debugging, not for routine construction paths.
+    element 0 is not an identity, or where a walked element's powers read
+    an entry outside 0..n-1 or never reach 0; only one element per
+    conjugacy class of cyclic subgroups is walked, so this checks every
+    entry and recomputes every element order and inverse. It builds every
+    row. The associativity sweep is O(n^3) and meant for tests and
+    debugging, not for routine construction paths.
     """
     n = group.order
     t = group.table
@@ -332,10 +420,10 @@ class Subgroup:
         """Raise ValueError unless this set really is a subgroup."""
         if not self.members & 1:
             raise ValueError("subgroup does not contain the identity")
-        t = self.group.table
+        group = self.group
         m = self.members
         for a in self.elems:
-            row = t[a]
+            row = group._row(a)
             for b in self.elems:
                 if not (m >> row[b]) & 1:
                     raise ValueError(f"set is not closed: {a}*{b} escapes")
@@ -472,26 +560,39 @@ def _derived_mask(group: FiniteGroup, elems, maps) -> int:
 
 
 def _conjugation_maps(group: FiniteGroup, within: int | None = None) -> list[tuple[int, ...]]:
-    """The maps x -> g^-1 x g for a greedy generating set of the group,
-    or of its subgroup with mask ``within``.
+    """The maps x -> g^-1 x g for a generating set of the group, or of its
+    subgroup with mask ``within``.
 
-    The generators are the chain over the elements in order, each the
-    least element outside the subgroup so far. The orbits of these maps,
-    on elements or on subgroups, are the orbits of conjugation by the
-    whole (sub)group. A map fixes it pointwise iff its generator commutes
-    with every generator; such maps are never built, so an abelian
-    (sub)group gets none. The maps of the whole group are kept on it.
+    The whole group's maps are built with the group and kept on it. A
+    tree-built group uses its construction generators: the map of g is the
+    row of g^-1 gathered through x -> x*g, which the closure already holds,
+    so no other row is read. A group given a full table, and a proper
+    subgroup, use the greedy chain over their elements in order, each the
+    least element outside the subgroup so far, and the table's columns.
+    The orbits of these maps, on elements or on subgroups, are the orbits
+    of conjugation by the whole (sub)group. A map fixes it pointwise iff
+    its generator commutes with every generator; such maps are never
+    built, so an abelian (sub)group gets none.
     """
-    if within is None:
-        if group._conj_maps is None:
-            group._conj_maps = _conjugation_maps(group, (1 << group.order) - 1)
+    if within is None or within == (1 << group.order) - 1:
         return group._conj_maps
+    return _maps_through(group, _right_maps(group, _generator_chain(group, _elements(within))[1]))
+
+
+def _right_maps(group: FiniteGroup, gens) -> list[list[int]]:
+    """x -> x*g for each g in ``gens``: the table's column of g."""
     t = group.table
-    whole = within == (1 << group.order) - 1
-    gens = _generator_chain(group, range(group.order) if whole else _elements(within))[1]
-    gens = [g for g in gens if any(t[g][h] != t[h][g] for h in gens)]
-    # x -> g^-1 x g is the row of g^-1 gathered through the column of g
-    return [operator.itemgetter(*t[group.inverse[g]])([row[g] for row in t]) for g in gens]
+    return [[row[g] for row in t] for g in gens]
+
+
+def _maps_through(group: FiniteGroup, rights: list[list[int]]) -> list[tuple[int, ...]]:
+    """The maps x -> g^-1 (x g) of the generators g that fail to commute
+    with another. Each r in ``rights`` is x -> x*g for its generator
+    g = r[0], and the map is g^-1's row gathered through r. g^-1 is g's
+    last power, since ``group.inverse`` may not be filled yet."""
+    right = {r[0]: r for r in rights if r[0]}
+    gens = [g for g in right if any(right[g][h] != right[h][g] for h in right)]
+    return [operator.itemgetter(*right[g])(group._row(group._powers(g)[-1])) for g in gens]
 
 
 def _invariant(mask: int, elems, maps) -> bool:
@@ -541,28 +642,29 @@ def relabel(group: FiniteGroup, perm: Permutation) -> FiniteGroup:
 # Cayley tables from generators
 
 
-def _cayley_rows(n: int, rmul: list[list[int]], lmul: list[list[int]]) -> list[tuple[int, ...]]:
-    """Cayley table rows of the group generated by a few elements g_k.
+def _tree_group(
+    n: int, rmul: list[list[int]], lmul: list[list[int]], label: str
+) -> FiniteGroup:
+    """The group of order n generated by a few elements g_k.
 
     ``rmul[k][u]`` is the index of u*g_k and ``lmul[k][v]`` that of g_k*v.
-    Walks the BFS tree from the identity 0; a new element w = u*g_k gets
-    row_w[v] = u*(g_k*v) = row_u[lmul[k][v]], so each row is one index
-    gather from an earlier row and the n^2 products never run in Python.
+    Walks the BFS tree from the identity 0 and keeps it: a new element
+    w = u*g_k gets row_w[v] = u*(g_k*v) = row_u[lmul[k][v]], so each row is
+    one index gather from its parent's row, built when first read (see
+    FiniteGroup), and the n^2 products never run in Python.
     """
     # itemgetter of n >= 2 indices returns a tuple; with n = 1 it is never
     # called, since the identity row is the only row
     gathers = [operator.itemgetter(*lk) for lk in lmul]
-    rows: list = [None] * n
-    rows[0] = tuple(range(n))
+    parent, step = [0] * n, [None] * n
     queue = [0]
     for u in queue:
-        row = rows[u]
         for rk, gather in zip(rmul, gathers):
             w = rk[u]
-            if rows[w] is None:
-                rows[w] = gather(row)
+            if w and step[w] is None:
+                parent[w], step[w] = u, gather
                 queue.append(w)
-    return rows
+    return FiniteGroup._from_tree(parent, step, rmul, label)
 
 
 def _metacyclic(m: int, k: int, mult: list[int], wrap: int, label: str) -> FiniteGroup:
@@ -587,7 +689,7 @@ def _metacyclic(m: int, k: int, mult: list[int], wrap: int, label: str) -> Finit
     gens = [g for g in (1 % m, m) if 0 < g < n]
     rmul = [[mul(u, g) for u in range(n)] for g in gens]
     lmul = [[mul(g, v) for v in range(n)] for g in gens]
-    return FiniteGroup(_cayley_rows(n, rmul, lmul), label)
+    return _tree_group(n, rmul, lmul, label)
 
 
 def _split(p: int, k: int, q: int, act, gens: list[int], label: str) -> FiniteGroup:
@@ -620,7 +722,7 @@ def _split(p: int, k: int, q: int, act, gens: list[int], label: str) -> FiniteGr
             left = [left[x] for x in a_of]
         rmul.append(right)
         lmul.append([(s + t) % q * pk + x for s in range(q) for x in left])
-    return FiniteGroup(_cayley_rows(q * pk, rmul, lmul), label)
+    return _tree_group(q * pk, rmul, lmul, label)
 
 
 # ---------------------------------------------------------------------------
@@ -815,10 +917,9 @@ def from_generators(
             rk.append(index[w])
     lefts = [_composer(v) for v in elems]
     lmul = [[index[left(gi)] for left in lefts] for gi in gen_images]
-    table = _cayley_rows(len(elems), rmul, lmul)
     if label is None:
         label = f"Perm({degree}; " + ", ".join(g.to_cycles() for g in gens) + ")"
-    return FiniteGroup(table, label)
+    return _tree_group(len(elems), rmul, lmul, label)
 
 
 def direct_product(

@@ -167,7 +167,7 @@ def is_normal(sub: Subgroup) -> bool:
     """True iff the subgroup is invariant under conjugation by every element.
 
     Invariance under conjugation by each generator of the group decides
-    it, so the at most log2|G| maps of ``_conjugation_maps`` are tested.
+    it, so only the few maps of ``_conjugation_maps`` are tested.
     """
     return _invariant(sub.members, sub.elems, _conjugation_maps(sub.group))
 
@@ -181,13 +181,14 @@ def normal_subgroups(
 
 
 def product_set(h: Subgroup, k: Subgroup) -> int:
-    """Bitmask of the product set HK = {h*k}."""
+    """Bitmask of the product set HK = {h*k}, read from the rows of H's elements."""
     if h.group is not k.group:
         raise ValueError("subgroups belong to different groups")
-    t = h.group.table
+    group = h.group
+    rows = group._rows
     mask = 0
     for a in h.elems:
-        row = t[a]
+        row = rows[a] or group._row(a)
         for b in k.elems:
             mask |= 1 << row[b]
     return mask
@@ -200,8 +201,10 @@ def permutes(h: Subgroup, k: Subgroup) -> bool:
     with it. With s = |H||K|/|H∩K| the size of HK, three cases need no
     product: containment either way (they permute), s not dividing |G|
     (Lagrange: they cannot), and s = |G| (HK is G, so equals KH).
-    Otherwise HK is built by ``product_set``, the smaller subgroup first,
-    and tested for inverse-closure, which holds iff HK = KH.
+    Otherwise HK is built by ``product_set`` from the rows of H's
+    elements, and tested for inverse-closure, which holds iff HK = KH.
+    ``_count_pairs`` passes its orbit representative as H, so counting
+    reads only the representatives' rows.
     """
     if h.group is not k.group:
         raise ValueError("subgroups belong to different groups")
@@ -215,7 +218,7 @@ def permutes(h: Subgroup, k: Subgroup) -> bool:
         return False
     if s == n:
         return True
-    pm = product_set(h, k) if h.size <= k.size else product_set(k, h)
+    pm = product_set(h, k)
     # HK = KH iff HK is inverse-closed, since (HK)^-1 = KH
     inv = h.group.inverse
     m = pm

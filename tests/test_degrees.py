@@ -16,7 +16,7 @@ from csdlab.degrees import (
 from csdlab.errors import GuardrailExceeded
 from csdlab.expr import evaluate, parse
 from csdlab.groups import cyclic, dihedral, heisenberg_E
-from csdlab.lattice import _section_degrees, sections, subgroup_lattice
+from csdlab.lattice import _section_degrees, count_permuting_pairs, sections, subgroup_lattice
 from oracle import (
     brute_csd,
     brute_cyclic_subgroups,
@@ -108,9 +108,11 @@ def test_is_iwasawa():
 
 
 def test_csd_one_exactly_for_iwasawa(corpus):
-    # is_iwasawa is csd = 1, so the criterion is checked against sd itself
+    # is_iwasawa and sd's shortcut are csd = 1, so the criterion is checked
+    # against the lattice's own pair count
     for text, group in corpus:
-        sd_one = sd(group, max_order=group.order) == 1
+        lat = subgroup_lattice(group, max_order=group.order)
+        sd_one = count_permuting_pairs(lat.subgroups) == len(lat) ** 2
         assert (csd(group, max_order=group.order) == 1) == sd_one, text
         assert is_iwasawa(group, max_order=group.order) == sd_one, text
 
@@ -132,7 +134,10 @@ def test_iwasawa_answers_build_no_lattice():
         assert group._lattice is None, text
         if iwasawa:
             assert csd_star(group) == 1
+            assert sd(group) == 1
             assert group._lattice is None, text
+            if group.order <= 16:  # the exhaustive oracle's reach
+                assert brute_sd(group) == 1, text
 
 
 SECTION_GROUPS = (
@@ -220,6 +225,9 @@ def test_guardrails():
     wide = dihedral(150, max_order=300)
     with pytest.raises(GuardrailExceeded):
         sd(wide)
+    # sd checks the lattice guardrail before its csd = 1 shortcut
+    with pytest.raises(GuardrailExceeded, match="^order 600 exceeds lattice max order 256$"):
+        sd(big)
     e343 = heisenberg_E(7)
     with pytest.raises(GuardrailExceeded):
         csd_star(e343)

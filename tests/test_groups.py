@@ -1,9 +1,11 @@
 import itertools
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from csdlab.degrees import csd, d
 from csdlab.errors import GuardrailExceeded
 from csdlab.expr import evaluate, parse
 from csdlab.groups import (
@@ -431,17 +433,20 @@ def test_nilpotency_matches_oracle(corpus):
         assert is_nilpotent(group) == brute_is_nilpotent(group), text
 
 
-@pytest.mark.parametrize("text", ["S(4)", "Z(2)xD(8)", "Q(16)", "Z(3)xS(3)", "E(27)"])
+@pytest.mark.parametrize("text", ["S(4)", "Z(2)xD(8)", "Q(16)", "Z(3)xS(3)", "E(27)", "Ea(3,2)"])
 def test_subgroup_conjugation_maps_match_conjugation_by_every_element(text):
-    # the maps of a subgroup H come from its greedy generators only; their
-    # orbits must still be H's conjugacy classes, and no map is left
-    # exactly when H is abelian
+    # the maps of a subgroup H come from its greedy generators only, those
+    # of G (no ``within``) from its construction generators when G is
+    # tree-built (S(4), Q(16), E(27), Ea(3,2)) and from its greedy chain
+    # when G was given a full table (the direct products); their orbits
+    # must still be the conjugacy classes, and no map is left exactly when
+    # the (sub)group is abelian
     group = evaluate(parse(text))
     t = group.table
     inv = group.inverse
-    for sub in subgroup_lattice(group):
-        elems = sub.elems
-        maps = _conjugation_maps(group, sub.members)
+    whole = [(None, tuple(range(group.order)))]
+    for within, elems in whole + [(s.members, s.elems) for s in subgroup_lattice(group)]:
+        maps = _conjugation_maps(group, within)
         abelian = all(t[a][b] == t[b][a] for a in elems for b in elems)
         assert (not maps) == abelian, (text, elems)
         classes = {frozenset(t[t[inv[g]][x]][g] for g in elems) for x in elems}
@@ -473,7 +478,10 @@ def test_power_checks_its_index_and_reduces_the_exponent():
 
 
 def test_power_walk_gives_inverses_orders_and_cyclic_subgroups(corpus):
-    large = [(text, evaluate(parse(text))) for text in ("D(512)", "Z(512)", "Ea(2,9)")]
+    # one walk per conjugacy class of cyclic subgroups, carried to the rest
+    # of the class by the conjugation maps; A(7) and S(6) have many classes
+    texts = ("D(512)", "Z(512)", "Ea(2,9)", "S(6)", "A(7)")
+    large = [(text, evaluate(parse(text), max_order=2520)) for text in texts]
     for text, group in corpus + large:
         t = group.table
         closures = {}  # oracle closure, once per distinct <x>
@@ -488,6 +496,34 @@ def test_power_walk_gives_inverses_orders_and_cyclic_subgroups(corpus):
             if walk not in closures:
                 closures[walk] = closure(t, (x,))
             assert set(_elements(group._cyclic_of[x])) == walk == closures[walk], (text, x)
+
+
+def test_single_products_read_only_their_rows():
+    a7 = evaluate(parse("A(7)"), max_order=2520)
+    before = a7._built()
+    products = [(a, b, a7.mul(a, b)) for a, b in ((5, 7), (2519, 1), (1000, 2000))]
+    powers = [(a, k, a7.power(a, k)) for a, k in ((5, 2), (2519, -1))]
+    Subgroup.from_elements(a7, a7._powers(1000))
+    assert a7._table is None
+    # each read builds its row and any missing ancestors in the BFS tree
+    assert a7._built() <= before + 50
+    t = a7.table
+    assert all(t[a][b] == ab for a, b, ab in products)
+    assert powers == [(5, 2, t[5][5]), (2519, -1, a7.inverse[2519])]
+
+
+def test_csd_and_d_of_a7_build_few_rows():
+    # one pair test per conjugacy orbit reads only the representatives'
+    # rows, and the element data and conjugation maps a few more
+    counts = []
+    for _ in range(2):
+        a7 = evaluate(parse("A(7)"), max_order=2520)
+        assert csd(a7, max_order=2520) == Fraction(20689, 896809)
+        assert d(a7) == Fraction(1, 280)
+        counts.append(a7._built())
+        assert a7._table is None
+    assert counts[0] == counts[1] <= 100
+    assert a7.table == evaluate(parse("A(7)"), max_order=2520).table
 
 
 def test_validate_accepts_a_large_group_without_associativity():
