@@ -206,7 +206,7 @@ def _parse_range(text: str) -> range:
     return range(a, b + 1)
 
 
-def _verify_rows(family: str, span: range, caps: Caps) -> list[dict[str, object]]:
+def _verify_rows(family: str, span: range, caps: Caps) -> list[tuple]:
     if family == "pgroup":  # |P(n,p,q)| >= 2*3^(n-1): stop at the first n where that passes the cap
         limit = _cap(caps.order)
         stop = next(n for n in itertools.count(2) if 2 * 3 ** (n - 1) > limit)
@@ -215,16 +215,14 @@ def _verify_rows(family: str, span: range, caps: Caps) -> list[dict[str, object]
     for value in span:
         try:
             for params, formula, text in _verify_cases(family, value, caps):
-                row: dict[str, object] = {"params": params, "formula": formula}
-                rows.append(row)
                 try:
                     group = _evaluate(text, caps)
                 except GuardrailExceeded:
-                    row["match"] = "skipped"
+                    rows.append((params, formula, None, "skipped"))
                     continue
                 brute = csd(group, max_order=group.order)
                 holds = brute >= formula if family == "zq8bound" else brute == formula
-                row.update(brute=brute, match="yes" if holds else "no")
+                rows.append((params, formula, brute, "yes" if holds else "no"))
         except ValueError as exc:  # such as an expression past the int-to-str digit limit
             raise ValueError(f"verify {family} {value}: {exc}") from exc
     return rows
@@ -267,7 +265,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = _verify_rows(args.family, span, caps)
     fields = ("params", "formula", "brute", "match")
     sys.stdout.buffer.write(emit_rows(fields, rows, args.format, args.decimal))
-    failed = any(row["match"] == "no" for row in rows)
+    failed = any(match == "no" for *_, match in rows)
     return 1 if failed else 0
 
 
@@ -275,41 +273,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # scan
 
 
-def _scan_eq_task(text: str, caps: Caps) -> list[dict[str, object]]:
+def _scan_eq_task(text: str, caps: Caps) -> list[tuple]:
     group = _evaluate(text, caps)
     csd_v = csd(group, max_order=group.order)
     sd_v = sd(group, max_order=caps.lattice)
-    if csd_v == sd_v != 1:
-        return [{"group": text, "csd": csd_v, "sd": sd_v, "status": "match"}]
-    return []
+    return [(text, csd_v, sd_v, "match")] if csd_v == sd_v != 1 else []
 
 
-def _scan_monotonicity_task(text: str, caps: Caps) -> list[dict[str, object]]:
+def _scan_monotonicity_task(text: str, caps: Caps) -> list[tuple]:
     group = _evaluate(text, caps)
     lat = subgroup_lattice(group, max_order=caps.lattice)
     values = [value for _, _, value in _section_degrees(lat, quotients=False)]
-    out: list[dict[str, object]] = []
+    out = []
     for j, outer in enumerate(lat.subgroups):
         for i, inner in enumerate(lat.subgroups[:j]):
-            if inner.members & outer.members != inner.members:
-                continue
-            if values[i] < values[j]:
-                out.append(
-                    {
-                        "group": text,
-                        "h_index": i,
-                        "h_order": inner.size,
-                        "k_index": j,
-                        "k_order": outer.size,
-                        "csd_h": values[i],
-                        "csd_k": values[j],
-                        "status": "pair",
-                    }
-                )
+            if inner.members & outer.members == inner.members and values[i] < values[j]:
+                out.append((text, i, inner.size, j, outer.size, values[i], values[j], "pair"))
     return out
 
 
-def _scan_star_task(text: str, caps: Caps) -> list[dict[str, object]]:
+def _scan_star_task(text: str, caps: Caps) -> list[tuple]:
     group = _evaluate(text, caps)
     value = csd_star(group, max_order=caps.sections)
     if value > IWASAWA_THRESHOLD:
@@ -318,17 +301,11 @@ def _scan_star_task(text: str, caps: Caps) -> list[dict[str, object]]:
         label = "nilpotent-certified"
     else:
         label = "uncertified"
-    return [
-        {
-            "group": text,
-            "csd_star": value,
-            "classification": label,
-            "eq_41_49": "yes" if value == IWASAWA_THRESHOLD else "no",
-        }
-    ]
+    return [(text, value, label, "yes" if value == IWASAWA_THRESHOLD else "no")]
 
 
-# mode -> (worker, output fields, the field that reads "skipped" when a guardrail trips)
+# mode -> (worker giving rows as tuples in field order, output fields, the field
+# that reads "skipped" when a guardrail trips)
 _SCAN_TASKS = {
     "csd-eq-sd": (_scan_eq_task, ("group", "csd", "sd", "status"), "status"),
     "monotonicity": (
@@ -344,14 +321,14 @@ _SCAN_TASKS = {
 }
 
 
-def _scan_task(task: tuple[str, str, Caps]) -> list[dict[str, object]]:
+def _scan_task(task: tuple[str, str, Caps]) -> list[tuple]:
     """Rows of one scan group: one skipped row over a guardrail, a bad group named in its error."""
     mode, text, caps = task
-    worker, _, skip = _SCAN_TASKS[mode]
+    worker, fields, skip = _SCAN_TASKS[mode]
     try:
         return worker(text, caps)
     except GuardrailExceeded:
-        return [{"group": text, skip: "skipped"}]
+        return [tuple(text if f == "group" else "skipped" if f == skip else None for f in fields)]
     except ValueError as exc:
         raise ValueError(f"scan group {text!r}: {exc}") from exc
 
@@ -360,8 +337,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
     fields = _SCAN_TASKS[args.mode][1]
     tasks = [(args.mode, text, caps) for text in args.groups]
-    chunks = _map_tasks(_scan_task, tasks, args.jobs)
-    rows = [row for chunk in chunks for row in chunk]
+    rows = itertools.chain.from_iterable(_map_tasks(_scan_task, tasks, args.jobs))
     sys.stdout.buffer.write(emit_rows(fields, rows, args.format, args.decimal))
     return 0
 
@@ -386,15 +362,7 @@ def cmd_sections(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
     group = _evaluate(args.group, caps)
     lat = _sections_lattice(group, caps.sections)
-    rows = [
-        {
-            "h_order": h.size,
-            "n_order": normal.size,
-            "order": h.size // normal.size,
-            "csd": value,
-        }
-        for h, normal, value in _section_degrees(lat)
-    ]
+    rows = ((h.size, n.size, h.size // n.size, value) for h, n, value in _section_degrees(lat))
     fields = ("h_order", "n_order", "order", "csd")
     sys.stdout.buffer.write(emit_rows(fields, rows, args.format, args.decimal))
     return 0

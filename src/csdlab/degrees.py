@@ -11,7 +11,8 @@ Every degree is a fractions.Fraction in lowest terms, never a float:
 
 Pair counts are over ordered pairs. Conjugation preserves permutability
 and commutativity, so csd and sd test one subgroup per conjugacy orbit
-(lattice.count_permuting_pairs) and d counts conjugacy classes.
+(lattice.count_permuting_pairs, counted once per group and kept) and d
+counts conjugacy classes.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .groups import FiniteGroup, _check_order, _conjugation_maps
 from .lattice import (
     DEFAULT_MAX_LATTICE_ORDER,
     DEFAULT_MAX_SECTIONS_ORDER,
+    _kept_pairs,
     _section_degrees,
-    count_permuting_pairs,
     cyclic_subgroups,
     is_normal,
     subgroup_lattice,
@@ -41,8 +42,7 @@ def csd(group: FiniteGroup, jobs: int | None = None, max_order: int | None = Non
     more than the tests it would share out.
     """
     poset = cyclic_subgroups(group, max_order=max_order)
-    m = len(poset.subgroups)
-    return Fraction(count_permuting_pairs(poset.subgroups), m * m)
+    return Fraction(_kept_pairs(poset), len(poset) ** 2)
 
 
 def sd(group: FiniteGroup, max_order: int | None = None) -> Degree:
@@ -55,8 +55,7 @@ def sd(group: FiniteGroup, max_order: int | None = None) -> Degree:
     if csd(group, max_order=group.order) == 1:
         return Fraction(1)
     lat = subgroup_lattice(group, max_order=group.order)
-    m = len(lat.subgroups)
-    return Fraction(count_permuting_pairs(lat.subgroups), m * m)
+    return Fraction(_kept_pairs(lat), len(lat) ** 2)
 
 
 def ndeg(group: FiniteGroup, max_order: int | None = None) -> Degree:

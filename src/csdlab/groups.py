@@ -100,11 +100,12 @@ class FiniteGroup:
         "_lattice",
     )
 
-    def __init__(self, table: list[list[int]], label: str):
+    def __init__(self, table: Sequence[Sequence[int]], label: str):
         n = len(table)
         if n == 0:
             raise ValueError("group must have at least one element")
         self.order = n
+        # tuple() returns a tuple row itself, so the derived constructions copy nothing
         self._rows = self._table = t = tuple(tuple(row) for row in table)
         self._tree = None
         if any(len(row) != n for row in t):
@@ -929,10 +930,9 @@ def direct_product(
     size = g.order * h.order
     _check_order(size, max_order)
     ho = h.order
-    table = []
-    for grow in g.table:
-        for hrow in h.table:
-            table.append([gx * ho + hy for gx in grow for hy in hrow])
+    table = [
+        tuple([gx * ho + hy for gx in grow for hy in hrow]) for grow in g.table for hrow in h.table
+    ]
     return FiniteGroup(table, f"{g.label}x{h.label}")
 
 
@@ -944,7 +944,7 @@ def subgroup_as_group(sub: Subgroup, label: str | None = None) -> FiniteGroup:
     """
     t = sub.group.table
     pos = {e: i for i, e in enumerate(sub.elems)}
-    table = [[pos[t[a][b]] for b in sub.elems] for a in sub.elems]
+    table = [tuple([pos[t[a][b]] for b in sub.elems]) for a in sub.elems]
     if label is None:
         label = f"{sub.group.label}>sub({sub.size})"
     return FiniteGroup(table, label)
@@ -968,5 +968,5 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
         for x in normal.elems:
             coset_of[row[x]] = idx
     k = len(reps)
-    table = [[coset_of[t[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
+    table = [tuple([coset_of[t[reps[i]][reps[j]]] for j in range(k)]) for i in range(k)]
     return FiniteGroup(table, f"{group.label}/({normal.size})")

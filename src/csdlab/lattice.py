@@ -42,11 +42,12 @@ class SubgroupLattice:
     """Subgroups of one group, deduplicated, in (size, mask) order: all of
     them from subgroup_lattice, the cyclic ones from cyclic_subgroups."""
 
-    __slots__ = ("group", "subgroups")
+    __slots__ = ("group", "subgroups", "_pairs")
 
     def __init__(self, group: FiniteGroup, subgroups: list[Subgroup]):
         self.group = group
         self.subgroups = tuple(subgroups)
+        self._pairs = None
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -252,6 +253,14 @@ def count_permuting_pairs(subgroups) -> int:
     return _count_pairs(subs, _conjugation_maps(subs[0].group))
 
 
+def _kept_pairs(coll: SubgroupLattice) -> int:
+    """count_permuting_pairs of a group's cyclic poset or lattice, counted once
+    and kept on it: csd, sd, csd_star, is_iwasawa and the H = G section reuse it."""
+    if coll._pairs is None:
+        coll._pairs = count_permuting_pairs(coll.subgroups)
+    return coll._pairs
+
+
 def _count_pairs(subs: list[Subgroup], maps) -> int:
     """count_permuting_pairs for distinct subgroups of a subgroup K, closed
     under conjugation by K, whose maps are ``maps``. An orbit of one is then
@@ -364,7 +373,8 @@ def _section_degrees(
         inside = {cyclic_of[x]: x for x in h.elems}  # <x> -> a generator
         # lattice order: the order sets _count_pairs' tests (S(5): 919, in element order 963)
         l1 = [subs[j] for j in sorted(position[c] for c in inside)]
-        csd_h = Fraction(_count_pairs(l1, maps), len(l1) ** 2)
+        count = _kept_pairs(cyclic_subgroups(group, n)) if mh == full else _count_pairs(l1, maps)
+        csd_h = Fraction(count, len(l1) ** 2)
         yield h, subs[0], csd_h
         if not quotients or (minimum and csd_h == 1):
             continue

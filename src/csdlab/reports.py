@@ -2,10 +2,11 @@
 
 A RunReport captures everything the compute command can say about one
 group. Tables are emitted as JSON (array of objects), CSV (header plus
-rows), or aligned text. `emit_rows` is the one place a degree becomes
-text: every `Fraction` cell is rendered as "num/den", or as a
-6-significant-digit decimal (round-half-even) when requested. Output is
-byte-identical across repeated runs.
+rows), or aligned text. A row is a sequence of cells in the order of the
+table's fields, with None for an absent cell. `emit_rows` is the one
+place a degree becomes text: every `Fraction` cell is rendered as
+"num/den", or as a 6-significant-digit decimal (round-half-even) when
+requested. Output is byte-identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import io
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._record import Record
 
@@ -90,53 +91,53 @@ def degree_str(value: Fraction | None, decimal: bool = False) -> str | None:
 
 def _json_cell(value: object, decimal: bool) -> object:
     """A cell's JSON value: a Fraction is a degree and becomes its text."""
-    if isinstance(value, Fraction):
-        return degree_str(value, decimal)
-    return value
+    return degree_str(value, decimal) if isinstance(value, Fraction) else value
 
 
-def _flat_cell(value: object, absent: str) -> str:
-    """A JSON cell value as text or csv; `absent` marks a missing value."""
+def _flat_cell(value: object, decimal: bool, absent: str) -> str:
+    """A cell as text or csv; `absent` marks a missing value."""
     if value is None:
         return absent
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return str(_json_cell(value, decimal))
 
 
 def emit_rows(
-    fields: Sequence[str], rows: Sequence[dict[str, object]], fmt: str, decimal: bool = False
+    fields: Sequence[str], rows: Iterable[Sequence[object]], fmt: str, decimal: bool = False
 ) -> bytes:
-    """Serialize rows (dicts over `fields`) as a deterministic table.
+    """Serialize rows as a deterministic table.
 
-    Fraction cells are degrees, rendered by `degree_str`; a missing key is
-    an absent value (null, an empty csv cell, or "-" in text).
+    Each row holds its cells in `fields` order; None is an absent value
+    (null, an empty csv cell, or "-" in text), and a Fraction cell is a
+    degree, rendered by `degree_str`. `rows` may be any iterable, such as
+    a generator; it is read once, after the format is checked.
     """
-    shaped = [[_json_cell(row.get(name), decimal) for name in fields] for row in rows]
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     if fmt == "json":
         import json  # loaded only for the formats that need it, like csv below
 
-        objects = [dict(zip(fields, line)) for line in shaped]
+        objects = [dict(zip(fields, [_json_cell(c, decimal) for c in row])) for row in rows]
         return (json.dumps(objects, indent=2) + "\n").encode()
+    absent = "" if fmt == "csv" else "-"
+    lines = ([_flat_cell(c, decimal, absent) for c in row] for row in rows)
     if fmt == "csv":
         import csv
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fields)
-        writer.writerows([_flat_cell(cell, "") for cell in line] for line in shaped)
+        writer.writerows(lines)
         return buf.getvalue().encode()
-    if fmt == "text":
-        table = [list(fields)] + [[_flat_cell(cell, "-") for cell in line] for line in shaped]
-        widths = [max(len(line[i]) for line in table) for i in range(len(fields))]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
-            for line in table
-        ]
-        return ("\n".join(lines) + "\n").encode()
-    raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    table = [list(fields), *lines]
+    widths = [max(len(line[i]) for line in table) for i in range(len(fields))]
+    text = "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in table
+    )
+    return (text + "\n").encode()
 
 
 def emit(reports: Sequence[RunReport], fmt: str, decimal: bool = False) -> bytes:
     """Serialize RunReports with the fixed field order."""
-    return emit_rows(REPORT_FIELDS, [r.cells(decimal) for r in reports], fmt)
+    return emit_rows(REPORT_FIELDS, (r.cells(decimal).values() for r in reports), fmt)

@@ -41,6 +41,26 @@ def test_compute_all_csv(capsys):
     assert lines[1] == "D(8),8,7,10,41/49,23/25,3/5,7/10,5/8,41/49,false,"
 
 
+def test_compute_all_counts_csd_once(capsys, monkeypatch):
+    # compute, sd, csd_star, is_iwasawa and the section walk's H = G row all
+    # need csd(G); G's cyclic pairs are counted for the first only
+    from csdlab import lattice
+
+    sizes = []
+    count_pairs = lattice._count_pairs
+
+    def recording(subs, maps):
+        sizes.append(len(subs))
+        return count_pairs(subs, maps)
+
+    monkeypatch.setattr(lattice, "_count_pairs", recording)
+    code, out, _ = run(capsys, ["compute", "--all", "--group", "S(5)", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[1].startswith("S(5),120,67,156,")
+    # a proper subgroup H has |L1(H)| < |L1(G)| = 67
+    assert sizes.count(67) == 1
+
+
 def test_compute_default_ops(capsys):
     code, out, _ = run(capsys, ["compute", "--group", "S(3)", "--format", "csv"])
     assert code == 0
@@ -400,6 +420,11 @@ def test_verify_ep3_guardrail_skip(capsys):
     assert rows[0] == "p=3,22/49,22/49,yes"
     assert rows[1] == "p=5,137/512,137/512,yes"
     assert rows[2].startswith("p=7,") and rows[2].endswith(",skipped")
+    code, out, _ = run(capsys, ["verify", "ep3", "3..7", "--max-order", "200", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)[2] == {
+        "params": "p=7", "formula": "155/841", "brute": None, "match": "skipped"
+    }
 
 
 def test_verify_pgroup_stops_once_no_group_fits(capsys):
@@ -518,6 +543,17 @@ def test_scan_monotonicity(capsys):
     assert lines[0] == "group,h_index,h_order,k_index,k_order,csd_h,csd_k,status"
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_monotonicity_rows(capsys, jobs):
+    # A4 < S4 is the one nested pair of S(4) whose csd rises; with two
+    # jobs the rows come back through the process pool
+    code, out, _ = run(
+        capsys, ["scan", "monotonicity", "S(4)", "D(8)", "--format", "csv", "--jobs", jobs]
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["S(4),28,12,29,24,7/16,127/289,pair"]
+
+
 def test_scan_guardrail_rows_skipped(capsys):
     code, out, _ = run(
         capsys, ["scan", "csd-star", "Z(600)", "D(8)", "--format", "csv"]
@@ -526,6 +562,19 @@ def test_scan_guardrail_rows_skipped(capsys):
     rows = out.splitlines()[1:]
     assert rows[0] == "Z(600),,skipped,"
     assert rows[1] == "D(8),41/49,nilpotent-certified,yes"
+    # csd-star's skip field, classification, sits between two absent cells
+    code, out, _ = run(capsys, ["scan", "csd-star", "Z(600)", "D(8)", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)[0] == {
+        "group": "Z(600)", "csd_star": None, "classification": "skipped", "eq_41_49": None
+    }
+    code, out, _ = run(capsys, ["scan", "csd-star", "Z(600)", "D(8)"])
+    assert code == 0
+    assert out.splitlines() == [
+        "group   csd_star  classification       eq_41_49",
+        "Z(600)  -         skipped              -",
+        "D(8)    41/49     nilpotent-certified  yes",
+    ]
     # Z(300) is inside the order cap but over the lattice cap of 256
     code, out, _ = run(
         capsys, ["scan", "monotonicity", "Z(300)", "D(8)", "--format", "csv"]

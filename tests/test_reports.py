@@ -91,12 +91,12 @@ def test_emit_deterministic():
 
 def test_emit_rows_rejects_unknown_format():
     with pytest.raises(ValueError):
-        emit_rows(("a",), [{"a": 1}], "yaml")
+        emit_rows(("a",), [(1,)], "yaml")
 
 
 def test_emit_rows_missing_keys_render_as_absent():
     fields = ("a", "b", "c", "d")
-    rows = [{"a": 1, "c": Fraction(41, 49), "d": True}]
+    rows = [(1, None, Fraction(41, 49), True)]
     out = emit_rows(fields, rows, "csv").decode()
     assert out.splitlines()[1] == "1,,41/49,true"
     out = emit_rows(fields, rows, "csv", decimal=True).decode()
@@ -109,3 +109,23 @@ def test_emit_rows_missing_keys_render_as_absent():
     assert data == [{"a": 1, "b": None, "c": "41/49", "d": True}]
     data = json.loads(emit_rows(fields, rows, "json", decimal=True))
     assert data == [{"a": 1, "b": None, "c": "0.836735", "d": True}]
+
+
+@pytest.mark.parametrize("decimal", [False, True])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_emit_rows_generator_matches_list(fmt, decimal):
+    fields = ("name", "n", "degree", "flag")
+    rows = [
+        ("x", 1, Fraction(41, 49), True),
+        ("longer", None, None, False),
+        ("z", 30, Fraction(1), None),
+    ]
+    generated = emit_rows(fields, (row for row in rows), fmt, decimal)
+    assert generated == emit_rows(fields, rows, fmt, decimal)
+
+
+def test_emit_rows_rejects_unknown_format_before_reading_rows():
+    rows = iter([(1,), (2,)])
+    with pytest.raises(ValueError, match="unknown format 'yaml'"):
+        emit_rows(("a",), rows, "yaml")
+    assert next(rows) == (1,)
