@@ -198,7 +198,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def _parse_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    if not sep or not lo.isdecimal() or not hi.isdecimal():
         raise ValueError(f"range must look like 2..40, got {text!r}")
     a, b = int(lo), int(hi)
     if a > b:
@@ -350,11 +350,10 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
     group = _evaluate(args.group, caps)
     lat = subgroup_lattice(group, max_order=caps.lattice)
-    lines = [
-        f"size={sub.size} members={','.join(map(str, sub.elems))}"
+    sys.stdout.buffer.writelines(
+        f"size={sub.size} members={','.join(map(str, sub.elems))}\n".encode()
         for sub in lat.subgroups
-    ]
-    sys.stdout.buffer.write(("\n".join(lines) + "\n").encode())
+    )
     return 0
 
 

@@ -131,9 +131,9 @@ def _tokens(text: str) -> list[tuple[str, str, int]]:
                 j += 1
             out.append(("name", text[i:j], i))
             i = j
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(("int", text[i:j], i))
             i = j

@@ -8,13 +8,13 @@ metacyclic, Heisenberg) plus permutation-generator closure, direct
 products and quotients. Every family gives right and left
 multiplication by a few generators, and ``_tree_group`` keeps their
 BFS tree, from which each table row is built on first use; nothing is
-solved from a presentation. The cyclic and metacyclic families share
-one product on indices, ``_metacyclic``. The elementary abelian, P and E families are
-one split product F_p^k ⋊ Z_q, ``_split``, whose generators move whole
-blocks of indices. Only the derived constructions (``direct_product``,
-``quotient``, ``subgroup_as_group``, ``relabel``) fill a table from
-existing tables. Each constructor checks its order against the
-guardrail before any primality test or large power.
+solved from a presentation. All nine families are one product
+A ⋊ <y>, ``_split``, of an abelian A given by its moduli (k copies of p
+for F_p^k, one m for <x> = Z_m) and a wrap vector y^q in A (nonzero only
+for Q). Direct products and relabelled copies are built along the tree
+of their factors' generators; only ``quotient`` and ``subgroup_as_group``
+fill a table. Each constructor checks its order against the guardrail
+before any primality test or large power.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class FiniteGroup:
         elem_order: elem_order[a] is the least k >= 1 with a^k = identity.
         label: descriptive name, e.g. "D(8)" or "Z(4)xQ(8)".
 
-    A group built along a generator tree (every family and
-    ``from_generators``, see ``_tree_group``) keeps the tree, not its rows:
+    A group built along a generator tree (see ``_tree_group``) keeps
+    the tree, and its generators' right multiplications ``_rights``:
     row a is built on first use, by one gather from its parent's row
     (``_row``), and reading ``table`` builds the missing rows once. A group
     given a full table has every row from the start. ``mul``, ``power``,
@@ -94,6 +94,7 @@ class FiniteGroup:
         "_rows",
         "_table",
         "_tree",
+        "_rights",
         "_cyclic_of",
         "_conj_maps",
         "_cyclic_poset",
@@ -173,6 +174,7 @@ class FiniteGroup:
         self.elem_order = tuple(elem_order)
         self._cyclic_of = tuple(cyclic_of)
         self._conj_maps: list[tuple[int, ...]] = maps or []
+        self._rights = rights or []
         self._cyclic_poset = None
         self._lattice = None
 
@@ -620,23 +622,22 @@ def is_nilpotent(group: FiniteGroup) -> bool:
 def relabel(group: FiniteGroup, perm: Permutation) -> FiniteGroup:
     """Isomorphic copy with element i renamed perm(i); perm must fix 0.
 
-    Useful for testing isomorphism invariance of computed quantities.
+    Generated by the images p(x) of the group's generators x, with
+    p(a)p(x) = p(ax) and p(x)p(a) = p(xa). Useful for testing isomorphism
+    invariance of computed quantities.
     """
     if perm.degree != group.order:
         raise ValueError("permutation degree must equal group order")
     if perm.images[0] != 0:
         raise ValueError("relabeling must keep the identity at index 0")
-    n = group.order
     p = perm.images
-    t = group.table
-    new = [[0] * n for _ in range(n)]
-    for a in range(n):
-        row = t[a]
-        na = p[a]
-        dst = new[na]
-        for b in range(n):
-            dst[p[b]] = p[row[b]]
-    return FiniteGroup(new, f"{group.label}~relabeled")
+    back = sorted(range(group.order), key=p.__getitem__)  # back[p(a)] = a
+    rmul, lmul = [], []
+    for r in group._rights:
+        row = group._row(r[0])
+        rmul.append([p[r[a]] for a in back])
+        lmul.append([p[row[a]] for a in back])
+    return _tree_group(group.order, rmul, lmul, f"{group.label}~relabeled")
 
 
 # ---------------------------------------------------------------------------
@@ -668,62 +669,47 @@ def _tree_group(
     return FiniteGroup._from_tree(parent, step, rmul, label)
 
 
-def _metacyclic(m: int, k: int, mult: list[int], wrap: int, label: str) -> FiniteGroup:
-    """The group <x, y> of order m*k with x^m = 1, y^k = x^wrap and
-    y^s x^j y^-s = x^(j * mult[s]); x^i y^s has index s*m + i.
-
-    x^wrap commutes with y, so a product that wraps past y^k just adds
-    wrap to the exponent of x. Generator indices that are the identity
-    (x when m = 1) or past the end (y when k = 1) are left out.
+def _split(moduli: list[int], q: int, act, wrap: int, gens: list[int], label: str) -> FiniteGroup:
+    """The pairs (s, v), s in Z_q and v in Z_m1 x ... x Z_mk (the
+    ``moduli``), with (s, v)(t, w) = (s + t, v + A^s w), plus the vector u
+    of index ``wrap`` when s + t wraps past q, for the map A = ``act`` on
+    coordinate tuples (A^q = 1, A u = u). (s, v) has index s*m1*...*mk + v,
+    v in mixed radix with its first coordinate most significant. A
+    generator (t, w) moves whole blocks of indices: right multiplication
+    translates block s by A^s w, left multiplication sends v to w + A^t v.
     """
-    n = m * k
-
-    def mul(a: int, b: int) -> int:
-        s, i = divmod(a, m)
-        t, j = divmod(b, m)
-        u = s + t
-        if u >= k:
-            u -= k
-            i += wrap
-        return u * m + (i + j * mult[s]) % m
-
-    gens = [g for g in (1 % m, m) if 0 < g < n]
-    rmul = [[mul(u, g) for u in range(n)] for g in gens]
-    lmul = [[mul(g, v) for v in range(n)] for g in gens]
-    return _tree_group(n, rmul, lmul, label)
-
-
-def _split(p: int, k: int, q: int, act, gens: list[int], label: str) -> FiniteGroup:
-    """The group of pairs (s, v), s in Z_q and v in F_p^k, with product
-    (s, v)(t, w) = (s + t, v + A^s w) for the linear map A = ``act`` on
-    coordinate tuples (A^q = 1). (s, v) has index s*p^k + v, v read in base
-    p with its first coordinate most significant. A generator (t, w) moves
-    whole blocks of p^k indices: right multiplication translates block s
-    by A^s w, left multiplication sends v to w + A^t v.
-    """
-    pk = p**k
-    vecs = list(itertools.product(range(p), repeat=k))
+    size = math.prod(moduli)
+    vecs = list(itertools.product(*map(range, moduli)))
     index = {v: i for i, v in enumerate(vecs)}
     a_of = [index[act(v)] for v in vecs]
 
     def shift(y: int) -> list[int]:  # the index of v + y, for each index v
         out = [0]
-        for c in vecs[y]:
-            out = [x * p + (d + c) % p for x in out for d in range(p)]
+        for c, m in zip(vecs[y], moduli):
+            out = [x * m + (d + c) % m for x in out for d in range(m)]
         return out
 
+    past = shift(wrap) if wrap else range(size)  # v -> v + u
     rmul, lmul = [], []
     for g in gens:
-        t, y = divmod(g, pk)
+        t, y = divmod(g, size)
         left, right = shift(y), []
         for s in range(q):
-            right += [(s + t) % q * pk + x for x in shift(y)]
+            right += [(s + t) % q * size + x for x in shift(past[y] if s + t >= q else y)]
             y = a_of[y]
         for _ in range(t):
             left = [left[x] for x in a_of]
+        wrapped = [past[x] for x in left] if wrap else left
+        lmul.append([(s + t) % q * size + x for s in range(q) for x in (wrapped if s + t >= q else left)])
         rmul.append(right)
-        lmul.append([(s + t) % q * pk + x for s in range(q) for x in left])
-    return _tree_group(q * pk, rmul, lmul, label)
+    return _tree_group(q * size, rmul, lmul, label)
+
+
+def _metacyclic(m: int, k: int, c: int, wrap: int, label: str) -> FiniteGroup:
+    """<x, y> with x^m = 1, y^k = x^wrap and y x y^-1 = x^c; x^i y^s has
+    index s*m + i. x = 1 (unless m = 1) and y = m (unless k = 1) generate."""
+    gens = [g for g in (1 % m, m) if 0 < g < m * k]
+    return _split([m], k, lambda v: (v[0] * c % m,), wrap, gens, label)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +721,7 @@ def cyclic(n: int, max_order: int | None = None) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     _check_order(n, max_order)
-    return _metacyclic(n, 1, [1], 0, f"Z({n})")
+    return _metacyclic(n, 1, 1, 0, f"Z({n})")
 
 
 def elementary_abelian(p: int, k: int, max_order: int | None = None) -> FiniteGroup:
@@ -748,7 +734,8 @@ def elementary_abelian(p: int, k: int, max_order: int | None = None) -> FiniteGr
     if not is_prime(p):
         raise ValueError(f"elementary abelian base {p} is not prime")
     # the first coordinate is the Z_p factor; the unit vectors generate
-    return _split(p, k - 1, p, lambda v: v, [p ** (k - 1 - i) for i in range(k)], f"Ea({p},{k})")
+    gens = [p ** (k - 1 - i) for i in range(k)]
+    return _split([p] * (k - 1), p, lambda v: v, 0, gens, f"Ea({p},{k})")
 
 
 def dihedral(m: int, max_order: int | None = None) -> FiniteGroup:
@@ -756,7 +743,7 @@ def dihedral(m: int, max_order: int | None = None) -> FiniteGroup:
     if m < 2:
         raise ValueError(f"dihedral parameter must be >= 2, got {m}")
     _check_order(2 * m, max_order)
-    return _metacyclic(m, 2, [1, m - 1], 0, f"D({2 * m})")
+    return _metacyclic(m, 2, m - 1, 0, f"D({2 * m})")
 
 
 def generalized_quaternion(n: int, max_order: int | None = None) -> FiniteGroup:
@@ -770,7 +757,7 @@ def generalized_quaternion(n: int, max_order: int | None = None) -> FiniteGroup:
     size = 2**n
     _check_order(size, max_order)
     m = size // 2
-    return _metacyclic(m, 2, [1, m - 1], size // 4, f"Q({size})")
+    return _metacyclic(m, 2, m - 1, size // 4, f"Q({size})")
 
 
 def quasidihedral(n: int, max_order: int | None = None) -> FiniteGroup:
@@ -780,7 +767,7 @@ def quasidihedral(n: int, max_order: int | None = None) -> FiniteGroup:
     size = 2**n
     _check_order(size, max_order)
     m = size // 2
-    return _metacyclic(m, 2, [1, size // 4 - 1], 0, f"SD({size})")
+    return _metacyclic(m, 2, size // 4 - 1, 0, f"SD({size})")
 
 
 def modular_group_M(p: int, n: int, max_order: int | None = None) -> FiniteGroup:
@@ -796,10 +783,8 @@ def modular_group_M(p: int, n: int, max_order: int | None = None) -> FiniteGroup
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     m = p ** (n - 1)
-    c = 1 + p ** (n - 2)
-    cinv = pow(c, -1, m)  # left-moving multiplier so that y^-1 x y = x^c holds
-    mult = [pow(cinv, s, m) for s in range(p)]
-    return _metacyclic(m, p, mult, 0, f"M({size})")
+    # y x y^-1 = x^(c^-1), so that y^-1 x y = x^c holds for c = 1 + p^(n-2)
+    return _metacyclic(m, p, pow(1 + p ** (n - 2), -1, m), 0, f"M({size})")
 
 
 def zm_group(m: int, n: int, r: int, max_order: int | None = None) -> FiniteGroup:
@@ -821,8 +806,7 @@ def zm_group(m: int, n: int, r: int, max_order: int | None = None) -> FiniteGrou
             raise ValueError(f"gcd(m, n(r-1)) must be 1, got m={m}, n={n}, r={r}")
     size = m * n
     _check_order(size, max_order)
-    mult = [pow(r, s, m) for s in range(n)]
-    return _metacyclic(m, n, mult, 0, f"ZM({m},{n},{r})")
+    return _metacyclic(m, n, r, 0, f"ZM({m},{n},{r})")
 
 
 def p_group_P(
@@ -863,7 +847,7 @@ def p_group_P(
     # and the unit vectors generate
     rinv = pow(r, -1, p)
     gens = [p ** (n - 1 - i) for i in range(n)]
-    return _split(p, n - 1, q, lambda v: tuple(x * rinv % p for x in v), gens, f"P({n},{p},{q})")
+    return _split([p] * (n - 1), q, lambda v: tuple(x * rinv % p for x in v), 0, gens, f"P({n},{p},{q})")
 
 
 def heisenberg_E(p: int, max_order: int | None = None) -> FiniteGroup:
@@ -875,7 +859,7 @@ def heisenberg_E(p: int, max_order: int | None = None) -> FiniteGroup:
         raise ValueError(f"need an odd prime, got {p}")
     # (a, b, c)(a2, b2, c2) = (a + a2, b + b2, c + c2 + a*b2): a acts on (b, c)
     # by the shear (b, c) -> (b, c + b); (1, 0, 0) and (0, 1, 0) generate
-    return _split(p, 2, p, lambda v: (v[0], (v[1] + v[0]) % p), [p * p, p], f"E({size})")
+    return _split([p, p], p, lambda v: (v[0], (v[1] + v[0]) % p), 0, [p * p, p], f"E({size})")
 
 
 def _composer(images: tuple[int, ...]):
@@ -926,14 +910,17 @@ def from_generators(
 def direct_product(
     g: FiniteGroup, h: FiniteGroup, max_order: int | None = None
 ) -> FiniteGroup:
-    """Componentwise product; element (a, b) has index a*|h| + b."""
+    """Componentwise product; element (a, b) has index a*|h| + b. It is
+    generated by (x, 1) and (1, y) for the generators x of g and y of h,
+    multiplied through the factors' ``_rights`` and the rows of x and y."""
     size = g.order * h.order
     _check_order(size, max_order)
-    ho = h.order
-    table = [
-        tuple([gx * ho + hy for gx in grow for hy in hrow]) for grow in g.table for hrow in h.table
-    ]
-    return FiniteGroup(table, f"{g.label}x{h.label}")
+    hs, blocks = range(h.order), range(0, size, h.order)
+    rmul = [[a * h.order + b for a in r for b in hs] for r in g._rights]
+    lmul = [[a * h.order + b for a in g._row(r[0]) for b in hs] for r in g._rights]
+    rmul += [[a + b for a in blocks for b in r] for r in h._rights]
+    lmul += [[a + b for a in blocks for b in h._row(r[0])] for r in h._rights]
+    return _tree_group(size, rmul, lmul, f"{g.label}x{h.label}")
 
 
 def subgroup_as_group(sub: Subgroup, label: str | None = None) -> FiniteGroup:

@@ -353,6 +353,18 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["compute", "--group", "Z(²)"], "unexpected character '²' (at position 2)"),
+        (["verify", "dihedral", "2..²"], "range must look like 2..40, got '2..²'"),
+    ],
+)
+def test_non_decimal_digits_are_named(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_dihedral(capsys):
     code, out, _ = run(capsys, ["verify", "dihedral", "2..12", "--format", "csv"])
     assert code == 0

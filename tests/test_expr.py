@@ -104,6 +104,15 @@ def test_parse_error_carries_position():
     assert info.value.pos == 7
 
 
+@pytest.mark.parametrize("text,ch", [("Z(²)", "²"), ("Z(①)", "①"), ("Ea(2,³)", "³")])
+def test_non_decimal_digit_is_an_unexpected_character(text, ch):
+    # str.isdigit accepts these, but int() does not: they are not decimal digits
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.pos == len(text) - 2
+    assert str(info.value) == f"unexpected character {ch!r} (at position {len(text) - 2})"
+
+
 def test_expr_error_carries_span():
     with pytest.raises(ExprError) as info:
         evaluate(parse("Z(3)xD(7)"))

@@ -405,6 +405,54 @@ def test_direct_product_structure():
         direct_product(cyclic(30), cyclic(30), max_order=100)
 
 
+def _klein():
+    d8 = dihedral(4)
+    return quotient(d8, center(d8))  # a group given a full table
+
+
+def _assert_product_table(g, h):
+    n = h.order
+    t, gt, ht = direct_product(g, h, max_order=4096).table, g.table, h.table
+    for a, b, c, d in itertools.product(range(g.order), range(n), range(g.order), range(n)):
+        assert t[a * n + b][c * n + d] == gt[a][c] * n + ht[b][d]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: (dihedral(4), generalized_quaternion(3)),  # tree x tree
+        lambda: (_klein(), cyclic(3)),
+        lambda: (cyclic(2), relabel(p_group_P(2, 3, 2), Permutation((0, 3, 5, 1, 4, 2)))),
+        lambda: (cyclic(1), dihedral(3)),  # trivial factor
+        lambda: (heisenberg_E(3), cyclic(1)),
+        lambda: (cyclic(1), cyclic(1)),
+        lambda: (direct_product(cyclic(2), cyclic(2)), generalized_quaternion(3)),
+        lambda: (cyclic(2), direct_product(cyclic(2), generalized_quaternion(3))),
+    ],
+    ids=["D(8)xQ(8)", "quotient", "relabel", "Z(1)xD(6)", "E(27)xZ(1)", "Z(1)xZ(1)",
+         "(Z(2)xZ(2))xQ(8)", "Z(2)x(Z(2)xQ(8))"],
+)
+def test_direct_product_table_is_componentwise(build):
+    g, h = build()
+    _assert_product_table(g, h)
+    _assert_product_table(h, g)
+
+
+def test_products_and_relabelled_copies_build_rows_on_demand():
+    a5 = evaluate(parse("A(5)"))
+    g = direct_product(a5, a5, max_order=3600)
+    assert csd(g, max_order=3600) == Fraction(8783, 189728)
+    assert d(g) == Fraction(1, 144)
+    assert g._built() <= 100
+    assert g._table is None
+    # the copy reads only the generators' rows of g, and its own element
+    # walk builds a few of its rows
+    before = g._built()
+    moved = relabel(g, Permutation((0, *range(3599, 0, -1))))
+    assert g._built() <= before + len(g._rights)
+    assert moved._table is None and moved._built() <= 360
+
+
 def test_center_matches_oracle(corpus):
     for group in (dihedral(4), generalized_quaternion(3), heisenberg_E(3), p_group_P(2, 3, 2)):
         assert frozenset(center(group).elems) == brute_center(group)
@@ -622,6 +670,25 @@ def test_relabel_preserves_structure():
     assert element_order_census(moved) == element_order_census(d8)
     with pytest.raises(ValueError):
         relabel(d8, Permutation((1, 0, 2, 3, 4, 5, 6, 7)))
+
+
+@pytest.mark.parametrize(
+    "build,images",
+    [
+        (lambda: dihedral(4), (0, 3, 1, 2, 6, 4, 7, 5)),
+        (lambda: _klein(), (0, 2, 3, 1)),
+        (lambda: direct_product(cyclic(2), cyclic(3)), (0, 5, 4, 3, 2, 1)),
+        (lambda: cyclic(2), (0, 1)),
+        (lambda: cyclic(1), (0,)),
+    ],
+    ids=["D(8)", "quotient", "Z(2)xZ(3)", "Z(2)", "Z(1)"],
+)
+def test_relabel_table_renames_every_entry(build, images):
+    g = build()
+    p = images.__getitem__
+    t = relabel(g, Permutation(images)).table
+    for a, b in itertools.product(range(g.order), repeat=2):
+        assert t[p(a)][p(b)] == p(g.table[a][b])
 
 
 def test_trivial_subgroup():
