@@ -141,7 +141,7 @@ def _batch_tasks(args: argparse.Namespace, caps: Caps) -> list[tuple]:
 
     try:
         entries = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ValueError(f"batch input is not valid JSON: {exc}") from exc
     if not isinstance(entries, list):
         raise ValueError("batch input must be a JSON array")

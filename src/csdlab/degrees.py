@@ -17,10 +17,11 @@ counts conjugacy classes.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from ._record import Frozen
-from .groups import FiniteGroup, _check_order, _conjugation_maps
+from .groups import FiniteGroup, _check_order, _conjugation_maps, _orbits
 from .lattice import (
     DEFAULT_MAX_LATTICE_ORDER,
     DEFAULT_MAX_SECTIONS_ORDER,
@@ -79,22 +80,8 @@ def d(group: FiniteGroup) -> Degree:
     commuting pairs number sum |C_G(x)| = k(G)|G|. The classes are the
     orbits of conjugation by a generating set.
     """
-    maps = _conjugation_maps(group)
-    seen = bytearray(group.order)
-    classes = 0
-    for x in range(group.order):
-        if seen[x]:
-            continue
-        classes += 1
-        seen[x] = 1
-        orbit = [x]
-        for y in orbit:
-            for c in maps:
-                z = c[y]
-                if not seen[z]:
-                    seen[z] = 1
-                    orbit.append(z)
-    return Fraction(classes, group.order)
+    classes = _orbits(group.order, _conjugation_maps(group), operator.getitem)
+    return Fraction(len(classes), group.order)
 
 
 def is_iwasawa(group: FiniteGroup, max_order: int | None = None) -> bool:

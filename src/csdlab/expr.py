@@ -30,6 +30,7 @@ from .groups import (
     Permutation,
     _check_order,
     _cycle_images,
+    _cycle_text,
     cyclic,
     dihedral,
     direct_product,
@@ -227,32 +228,37 @@ class _Parser:
 def parse(text: str) -> GroupExpr:
     """Parse a group expression; raises ParseError with the offending position."""
     parser = _Parser(text)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {value!r}", pos)
     return node
 
 
+def _factors(expr: GroupExpr) -> list[GroupExpr]:
+    """The factors down a product's left spine, leftmost first, found in a
+    loop: a chain of any length needs no recursion."""
+    factors = []
+    while isinstance(expr, Product):
+        factors.append(expr.right)
+        expr = expr.left
+    return [expr, *reversed(factors)]
+
+
 def render(expr: GroupExpr) -> str:
     """Canonical text for an expression; parse(render(e)) equals e."""
-    if isinstance(expr, Family):
-        return f"{expr.name}({','.join(map(str, expr.params))})"
-    if isinstance(expr, Perm):
-        gens = ", ".join(_render_cycles(g) for g in expr.gens)
-        sep = " " if gens else ""
-        return f"Perm({expr.degree};{sep}{gens})"
-    left = render(expr.left)
-    right = render(expr.right)
-    if isinstance(expr.right, Product):
-        right = f"({right})"
-    return f"{left}x{right}"
-
-
-def _render_cycles(cycles: tuple[tuple[int, ...], ...]) -> str:
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+    out = []
+    for f in _factors(expr):
+        if isinstance(f, Family):
+            out.append(f"{f.name}({','.join(map(str, f.params))})")
+        elif isinstance(f, Perm):
+            out.append(f"Perm({f.degree};{','.join(' ' + _cycle_text(g) for g in f.gens)})")
+        else:  # a product on the right
+            out.append(f"({render(f)})")
+    return "x".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +281,11 @@ def evaluate(expr: GroupExpr, max_order: int | None = None) -> FiniteGroup:
     guardrail overshoots raise GuardrailExceeded untouched.
     """
     if isinstance(expr, Product):
-        left = evaluate(expr.left, max_order)
-        right = evaluate(expr.right, max_order)
-        return direct_product(left, right, max_order=max_order)
+        first, *rest = _factors(expr)
+        group = evaluate(first, max_order)
+        for factor in rest:
+            group = direct_product(group, evaluate(factor, max_order), max_order=max_order)
+        return group
     if isinstance(expr, Perm):
         # closed on the points it moves, renumbered in order: fixed points change
         # no product, and the label keeps the declared degree and points

@@ -258,46 +258,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.label!r}, order={self.order})"
 
 
-def validate(group: FiniteGroup, check_associativity: bool = True) -> None:
-    """Full Cayley-table validation; raises ValueError on the first defect.
-
-    Construction already rejects a table that is not square, whose
-    element 0 is not an identity, or where a walked element's powers read
-    an entry outside 0..n-1 or never reach 0; only one element per
-    conjugacy class of cyclic subgroups is walked, so this checks every
-    entry and recomputes every element order and inverse. It builds every
-    row. The associativity sweep is O(n^3) and meant for tests and
-    debugging, not for routine construction paths.
-    """
-    n = group.order
-    t = group.table
-    for row in t:
-        for x in row:
-            if not 0 <= x < n:
-                raise ValueError(f"table entry {x} out of range")
-    for a in range(n):
-        if t[a][group.inverse[a]] != 0 or t[group.inverse[a]][a] != 0:
-            raise ValueError(f"inverse law fails at element {a}")
-        x, k = a, 1
-        while x != 0 and k <= n:
-            x = t[x][a]
-            k += 1
-        if group.elem_order[a] != k:
-            raise ValueError(f"cached element order wrong at {a}")
-        if n % k != 0:
-            raise ValueError(f"element order {k} does not divide group order {n}")
-    if check_associativity:
-        rng = range(n)
-        for a in rng:
-            ra = t[a]
-            for b in rng:
-                rab = t[ra[b]]
-                rb = t[b]
-                for c in rng:
-                    if rab[c] != ra[rb[c]]:
-                        raise ValueError(f"associativity fails at ({a},{b},{c})")
-
-
 # ---------------------------------------------------------------------------
 # Permutations (input format for generator-defined groups)
 
@@ -360,21 +320,13 @@ class Permutation(Frozen):
 
     def to_cycles(self) -> str:
         """Canonical disjoint-cycle string: cycles by minimal element, fixed points omitted."""
-        out = []
-        seen: set[int] = set()
-        for start in range(self.degree):
-            if start in seen or self.images[start] == start:
-                seen.add(start)
-                continue
-            cycle = [start]
-            seen.add(start)
-            j = self.images[start]
-            while j != start:
-                cycle.append(j)
-                seen.add(j)
-                j = self.images[j]
-            out.append("(" + " ".join(map(str, cycle)) + ")")
-        return "".join(out) if out else "()"
+        orbits = _orbits(self.degree, [self.images], operator.getitem)
+        return _cycle_text(o for o in orbits if len(o) > 1)
+
+
+def _cycle_text(cycles) -> str:
+    """Cycles written as "(0 1)(2 3)"; "()" for none."""
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()"
 
 
 def _cycle_images(cycles: Sequence[Sequence[int]], degree: int) -> dict[int, int]:
@@ -534,11 +486,9 @@ def full_subgroup(group: FiniteGroup) -> Subgroup:
 
 
 def center(group: FiniteGroup) -> Subgroup:
-    """Elements commuting with everything: those fixed by every conjugation map."""
-    fixed = range(group.order)
-    for c in _conjugation_maps(group):
-        fixed = [x for x in fixed if c[x] == x]
-    return Subgroup(group, _mask_of(fixed))
+    """Elements commuting with everything: the one-element conjugacy classes."""
+    classes = _orbits(group.order, _conjugation_maps(group), operator.getitem)
+    return Subgroup(group, _mask_of(c[0] for c in classes if len(c) == 1))
 
 
 def derived_subgroup(group: FiniteGroup) -> Subgroup:
@@ -601,6 +551,27 @@ def _maps_through(group: FiniteGroup, rights: list[list[int]]) -> list[tuple[int
 def _invariant(mask: int, elems, maps) -> bool:
     """True iff every map sends every element of the subgroup into it."""
     return all((mask >> c[x]) & 1 for c in maps for x in elems)
+
+
+def _orbits(count: int, maps, image) -> list[list[int]]:
+    """The orbits of 0..count-1 under the group that ``maps`` generate,
+    ``image(c, i)`` the image of i under map c. Each orbit is listed
+    breadth-first from its least member, and the orbits are in order of
+    that member; under one map, an orbit so listed is its cycle."""
+    seen = bytearray(count)
+    orbits = []
+    for i in range(count):
+        if not seen[i]:
+            seen[i] = 1
+            orbit = [i]
+            for j in orbit:
+                for c in maps:
+                    k = image(c, j)
+                    if not seen[k]:
+                        seen[k] = 1
+                        orbit.append(k)
+            orbits.append(orbit)
+    return orbits
 
 
 def is_abelian(group: FiniteGroup) -> bool:
@@ -944,16 +915,7 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
     if not _invariant(normal.members, normal.elems, _conjugation_maps(group)):
         raise ValueError("subgroup is not normal")
     t = group.table
-    coset_of = [-1] * group.order
-    reps = []
-    for a in range(group.order):
-        if coset_of[a] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(a)
-        row = t[a]
-        for x in normal.elems:
-            coset_of[row[x]] = idx
-    k = len(reps)
-    table = [tuple([coset_of[t[reps[i]][reps[j]]] for j in range(k)]) for i in range(k)]
+    cosets = _orbits(group.order, normal.elems, lambda x, a: t[a][x])  # the cosets aN
+    coset_of = {a: i for i, coset in enumerate(cosets) for a in coset}
+    table = [tuple([coset_of[t[a[0]][b[0]]] for b in cosets]) for a in cosets]
     return FiniteGroup(table, f"{group.label}/({normal.size})")

@@ -29,6 +29,7 @@ from .groups import (
     _elements,
     _invariant,
     _mask_of,
+    _orbits,
     quotient,
     subgroup_as_group,
 )
@@ -288,29 +289,17 @@ def _count_pairs(subs: list[Subgroup], maps) -> int:
 def _conjugacy_orbits(subs, position, maps) -> list[list[int]]:
     """Positions of the subgroups grouped into conjugacy orbits, each
     orbit listed from its first member in collection order."""
-    seen = [False] * len(subs)
-    orbits: list[list[int]] = []
-    for i in range(len(subs)):
-        if seen[i]:
-            continue
-        seen[i] = True
-        orbit = [i]
-        for j in orbit:
-            elems = subs[j].elems
-            for c in maps:
-                mask = 0
-                for x in elems:
-                    mask |= 1 << c[x]
-                p = position.get(mask)
-                if p is None:
-                    raise ValueError(
-                        "subgroup collection is not closed under conjugation"
-                    )
-                if not seen[p]:
-                    seen[p] = True
-                    orbit.append(p)
-        orbits.append(orbit)
-    return orbits
+
+    def image(c, j: int) -> int:
+        mask = 0
+        for x in subs[j].elems:
+            mask |= 1 << c[x]
+        p = position.get(mask)
+        if p is None:
+            raise ValueError("subgroup collection is not closed under conjugation")
+        return p
+
+    return _orbits(len(subs), maps, image)
 
 
 def sections(group: FiniteGroup, max_order: int | None = None) -> Iterator[FiniteGroup]:

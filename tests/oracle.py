@@ -1,9 +1,11 @@
 """Independent brute-force oracles for cross-checking the engine.
 
 Everything here works on raw multiplication tables and frozensets of
-element indices. No bitmask, lattice, or degree code from the package
-is reused, so agreement between these functions and the engine is a
-genuine two-implementation check.
+element indices. Only ``FiniteGroup`` is imported from the package, for
+type hints: no bitmask, orbit, lattice, or degree code is reused, so
+agreement between these functions and the engine is a genuine
+two-implementation check. ``validate`` checks a group's table and the
+element data the engine derived from it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,46 @@ def closure(table, seed) -> frozenset[int]:
                     fresh.append(c)
         frontier = fresh
     return frozenset(out)
+
+
+def validate(group: FiniteGroup, check_associativity: bool = True) -> None:
+    """Full Cayley-table validation; raises ValueError on the first defect.
+
+    Construction already rejects a table that is not square, whose
+    element 0 is not an identity, or where a walked element's powers read
+    an entry outside 0..n-1 or never reach 0; only one element per
+    conjugacy class of cyclic subgroups is walked, so this checks every
+    entry and recomputes every element order and inverse. It builds every
+    row. The associativity sweep is O(n^3) and meant for tests and
+    debugging, not for routine construction paths.
+    """
+    n = group.order
+    t = group.table
+    for row in t:
+        for x in row:
+            if not 0 <= x < n:
+                raise ValueError(f"table entry {x} out of range")
+    for a in range(n):
+        if t[a][group.inverse[a]] != 0 or t[group.inverse[a]][a] != 0:
+            raise ValueError(f"inverse law fails at element {a}")
+        x, k = a, 1
+        while x != 0 and k <= n:
+            x = t[x][a]
+            k += 1
+        if group.elem_order[a] != k:
+            raise ValueError(f"cached element order wrong at {a}")
+        if n % k != 0:
+            raise ValueError(f"element order {k} does not divide group order {n}")
+    if check_associativity:
+        rng = range(n)
+        for a in rng:
+            ra = t[a]
+            for b in rng:
+                rab = t[ra[b]]
+                rb = t[b]
+                for c in rng:
+                    if rab[c] != ra[rb[c]]:
+                        raise ValueError(f"associativity fails at ({a},{b},{c})")
 
 
 @lru_cache(maxsize=None)
@@ -172,3 +214,11 @@ def brute_d(group: FiniteGroup) -> Fraction:
         1 for a in range(n) for b in range(n) if table[a][b] == table[b][a]
     )
     return Fraction(hits, n * n)
+
+
+def brute_classes(group: FiniteGroup) -> set[frozenset[int]]:
+    """Conjugacy classes: each x conjugated by every element g, g^-1 x g."""
+    table = group.table
+    n = group.order
+    inv = [row.index(0) for row in table]
+    return {frozenset(table[table[inv[g]][x]][g] for g in range(n)) for x in range(n)}

@@ -11,7 +11,7 @@ import pytest
 
 import csdlab
 from csdlab.cli import Caps, _verify_cases, main
-from csdlab.expr import evaluate, parse
+from csdlab.expr import evaluate, parse, render
 from csdlab.groups import (
     cyclic,
     dihedral,
@@ -59,6 +59,59 @@ def test_compute_all_counts_csd_once(capsys, monkeypatch):
     assert out.splitlines()[1].startswith("S(5),120,67,156,")
     # a proper subgroup H has |L1(H)| < |L1(G)| = 67
     assert sizes.count(67) == 1
+
+
+@pytest.mark.parametrize(
+    "group,tests,closures,chain",
+    [
+        ("D(8)xEa(2,3)", 77696, 8555, 1987),
+        ("S(5)", 1521, 362, 43),
+        ("Ea(2,5)", 0, 2046, 0),
+        ("D(128)", 892, 592, 41),
+    ],
+)
+def test_compute_all_work_is_pinned(capsys, monkeypatch, group, tests, closures, chain):
+    # pair tests, lattice closures (the worklist and the section walk) and
+    # closures of the generator chain; a change to these counts is deliberate
+    from csdlab import groups, lattice
+
+    counts = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+        key = f"{module.__name__}.{name}"
+        counts[key] = 0
+
+        def counting(*args):
+            counts[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(lattice, "permutes")
+    count(lattice, "_coset_closure")
+    count(groups, "_coset_closure")
+    code, _, _ = run(capsys, ["compute", "--all", "--group", group, "--format", "csv"])
+    assert code == 0
+    assert counts == {
+        "csdlab.lattice.permutes": tests,
+        "csdlab.lattice._coset_closure": closures,
+        "csdlab.groups._coset_closure": chain,
+    }
+
+
+def test_long_product_chain_needs_no_recursion(capsys):
+    text = "x".join(["Z(1)"] * 2000)
+    assert render(parse(text)) == text
+    code, out, _ = run(capsys, ["compute", "--group", text, "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[1].split(",")[1] == "1"
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    code, _, err = run(capsys, ["compute", "--group", "(" * 1000 + "Z(2)" + ")" * 1000])
+    assert code == 2
+    assert "nested too deeply" in err
 
 
 def test_compute_default_ops(capsys):
@@ -253,6 +306,14 @@ def test_batch_not_a_list_exit_2(capsys, tmp_path):
     batch.write_text('{"group": "Z(4)"}')
     code, _, _ = run(capsys, ["compute", "--batch", str(batch)])
     assert code == 2
+
+
+def test_batch_nested_too_deeply_exit_2(capsys, tmp_path):
+    batch = tmp_path / "batch.json"
+    batch.write_text("[" * 100000)
+    code, _, err = run(capsys, ["compute", "--batch", str(batch)])
+    assert code == 2
+    assert err.startswith("error: batch input is not valid JSON: ")
 
 
 PARSE_ERROR = "expected ')', found 'end of input' (at position 3)"

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import re
 from collections import Counter
 from fractions import Fraction
@@ -31,19 +32,21 @@ from csdlab.groups import (
     relabel,
     subgroup_as_group,
     trivial_subgroup,
-    validate,
     zm_group,
     _conjugation_maps,
     _elements,
+    _orbits,
 )
 from csdlab.lattice import subgroup_lattice
 from oracle import (
+    brute_classes,
     brute_center,
     brute_derived,
     brute_is_nilpotent,
     brute_normals,
     brute_subgroups,
     closure,
+    validate,
 )
 
 CONSTRUCTED = [
@@ -378,6 +381,24 @@ def test_split_tables_satisfy_presentation(build, p, k, q, conj):
         assert all(g.mul(u, w) == g.mul(w, u) for w in units)
     for v in vecs:
         assert g.mul(g.mul(g.inv(x), element(v)), x) == element(conj(v))
+
+
+def test_to_cycles_matches_a_cycle_walk():
+    def walk(images):
+        seen, out = set(), []
+        for i in range(len(images)):
+            if i in seen or images[i] == i:
+                continue
+            cycle = [i]
+            while images[cycle[-1]] != i:
+                cycle.append(images[cycle[-1]])
+            seen.update(cycle)
+            out.append("(" + " ".join(map(str, cycle)) + ")")
+        return "".join(out) or "()"
+
+    for degree in range(6):
+        for images in itertools.permutations(range(degree)):
+            assert Permutation(images).to_cycles() == walk(images), images
 
 
 def test_permutation_cycles_round_trip():
@@ -727,3 +748,21 @@ def test_constructor_guardrail_comes_before_primality_and_powers(build, message)
     test or a power that would run for a huge parameter."""
     with pytest.raises(GuardrailExceeded, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_orbits_are_the_conjugacy_classes(small_corpus):
+    d12 = dihedral(6)
+    s4 = evaluate(parse("S(4)"))
+    abelian = elementary_abelian(3, 2)
+    groups = [g for _, g in small_corpus] + [
+        quotient(d12, center(d12)),  # S(3), given a full table
+        subgroup_as_group(subgroup_lattice(s4).subgroups[-2]),  # A(4)
+        abelian,
+    ]
+    for g in groups:
+        classes = _orbits(g.order, _conjugation_maps(g), operator.getitem)
+        assert {frozenset(c) for c in classes} == brute_classes(g), g.label
+        # each orbit from its least member, the orbits in order of that member
+        assert [c[0] for c in classes] == sorted(min(c) for c in classes), g.label
+    assert _conjugation_maps(abelian) == []
+    assert _orbits(abelian.order, [], operator.getitem) == [[x] for x in range(9)]

@@ -67,3 +67,15 @@ def test_engine_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top == "csdlab" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_oracle_imports_only_finite_group_from_csdlab():
+    """oracle.py's docstring: only FiniteGroup comes from the package, so the
+    oracle shares no engine code with what it checks."""
+    path = Path(__file__).resolve().parent / "oracle.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.partition(".")[0] != "csdlab", alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "csdlab":
+            assert (node.module, [a.name for a in node.names]) == ("csdlab.groups", ["FiniteGroup"])
