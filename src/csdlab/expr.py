@@ -21,7 +21,8 @@ errors carry the source span of the offending term.
 
 from __future__ import annotations
 
-import re
+import functools
+import operator
 from typing import Union
 
 from ._record import Frozen
@@ -31,6 +32,7 @@ from .groups import (
     _check_order,
     _cycle_images,
     _cycle_text,
+    _orbits,
     cyclic,
     dihedral,
     direct_product,
@@ -44,8 +46,6 @@ from .groups import (
     zm_group,
 )
 from .intmath import prime_power
-
-FAMILY_NAMES = ("Z", "Ea", "D", "Q", "SD", "M", "P", "ZM", "E", "A", "S")
 
 Span = tuple[int, int]
 
@@ -153,7 +153,6 @@ def _tokens(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokens(text)
         self.i = 0
 
@@ -238,6 +237,16 @@ def parse(text: str) -> GroupExpr:
     return node
 
 
+def _cycles(text: str) -> tuple[tuple[int, ...], ...]:
+    """The cycles of one Perm generator, such as "(0 1)(2 3)" or "()"."""
+    parser = _Parser(text)
+    if parser.peek()[0] != "(":  # at least one cycle, so empty text is an error too
+        parser.take("(")
+    cycles = parser.parse_cycles()
+    parser.take("end")
+    return cycles
+
+
 def _factors(expr: GroupExpr) -> list[GroupExpr]:
     """The factors down a product's left spine, leftmost first, found in a
     loop: a chain of any length needs no recursion."""
@@ -265,15 +274,6 @@ def render(expr: GroupExpr) -> str:
 # Evaluation
 
 
-def _need(expr: Family, count: int) -> tuple[int, ...]:
-    if len(expr.params) != count:
-        raise ExprError(
-            f"{expr.name} takes {count} parameter(s), got {len(expr.params)}",
-            expr.span,
-        )
-    return expr.params
-
-
 def evaluate(expr: GroupExpr, max_order: int | None = None) -> FiniteGroup:
     """Build the group an expression denotes.
 
@@ -286,87 +286,64 @@ def evaluate(expr: GroupExpr, max_order: int | None = None) -> FiniteGroup:
         for factor in rest:
             group = direct_product(group, evaluate(factor, max_order), max_order=max_order)
         return group
-    if isinstance(expr, Perm):
-        # closed on the points it moves, renumbered in order: fixed points change
-        # no product, and the label keeps the declared degree and points
-        try:
-            maps = [_cycle_images(cycles, expr.degree) for cycles in expr.gens]
-        except ValueError as exc:
-            raise ExprError(str(exc), expr.span) from exc
-        points = sorted(set().union(*maps))
-        rank = {x: r for r, x in enumerate(points)}
-        gens = [Permutation(tuple(rank[m.get(x, x)] for x in points)) for m in maps]
-        shown = (re.sub(r"\d+", lambda d: str(points[int(d[0])]), g.to_cycles()) for g in gens)
-        label = f"Perm({expr.degree}; {', '.join(shown)})"
-        return from_generators(len(points), gens, max_order=max_order, label=label)
-    assert isinstance(expr, Family)
     try:
+        if isinstance(expr, Perm):
+            return _permutation_group(expr.degree, expr.gens, max_order)
         return _family(expr, max_order)
-    except ExprError:
-        raise
     except ValueError as exc:
         raise ExprError(str(exc), expr.span) from exc
 
 
 def _family(expr: Family, max_order: int | None) -> FiniteGroup:
-    name = expr.name
-    if name == "Z":
-        (n,) = _need(expr, 1)
-        return cyclic(n, max_order=max_order)
-    if name == "Ea":
-        p, k = _need(expr, 2)
-        return elementary_abelian(p, k, max_order=max_order)
-    if name in ("D", "Q", "SD", "M", "E"):  # named by order: the cap comes before the shape
-        (k,) = _need(expr, 1)
-        _check_order(k, max_order)
-    if name == "D":
-        if k % 2 or k < 4:
-            raise ExprError(f"dihedral order must be even and >= 4, got {k}", expr.span)
-        return dihedral(k // 2, max_order=max_order)
-    if name == "Q":
-        pp = prime_power(k)
-        if pp is None or pp[0] != 2 or pp[1] < 3:
-            raise ExprError(
-                f"generalized quaternion order must be 2^n with n >= 3, got {k}",
-                expr.span,
-            )
-        return generalized_quaternion(pp[1], max_order=max_order)
-    if name == "SD":
-        pp = prime_power(k)
-        if pp is None or pp[0] != 2 or pp[1] < 4:
-            raise ExprError(
-                f"quasidihedral order must be 2^n with n >= 4, got {k}", expr.span
-            )
-        return quasidihedral(pp[1], max_order=max_order)
-    if name == "M":
-        pp = prime_power(k)
-        if pp is None:
-            raise ExprError(f"modular group order must be a prime power, got {k}", expr.span)
-        return modular_group_M(pp[0], pp[1], max_order=max_order)
-    if name == "P":
-        n, p, q = _need(expr, 3)
-        return p_group_P(n, p, q, max_order=max_order)
-    if name == "ZM":
-        m, n, r = _need(expr, 3)
-        return zm_group(m, n, r, max_order=max_order)
-    if name == "E":
-        pp = prime_power(k)
-        if pp is None or pp[1] != 3:
-            raise ExprError(
-                f"exponent-p group order must be p^3 for an odd prime p, got {k}",
-                expr.span,
-            )
-        return heisenberg_E(pp[0], max_order=max_order)
-    if name in ("A", "S"):
-        (n,) = _need(expr, 1)
-        if not 1 <= n <= 7:
-            raise ExprError(f"{name}(n) supports 1 <= n <= 7, got {n}", expr.span)
-        return _permutation_family(name, n, max_order)
-    raise ExprError(f"unknown family {name!r}", expr.span)
+    if expr.name not in _FAMILIES:
+        raise ValueError(f"unknown family {expr.name!r}")
+    count, build = _FAMILIES[expr.name]
+    if len(expr.params) != count:
+        raise ValueError(f"{expr.name} takes {count} parameter(s), got {len(expr.params)}")
+    if expr.name in ("D", "Q", "SD", "M", "E"):  # named by order: the cap comes before the shape
+        _check_order(expr.params[0], max_order)
+    return build(*expr.params, max_order=max_order)
+
+
+def _dihedral(k: int, max_order: int | None) -> FiniteGroup:
+    if k % 2 or k < 4:
+        raise ValueError(f"dihedral order must be even and >= 4, got {k}")
+    return dihedral(k // 2, max_order=max_order)
+
+
+def _two_power(k: int, least: int, name: str) -> int:
+    pp = prime_power(k)
+    if pp is None or pp[0] != 2 or pp[1] < least:
+        raise ValueError(f"{name} order must be 2^n with n >= {least}, got {k}")
+    return pp[1]
+
+
+def _quaternion(k: int, max_order: int | None) -> FiniteGroup:
+    return generalized_quaternion(_two_power(k, 3, "generalized quaternion"), max_order=max_order)
+
+
+def _quasidihedral(k: int, max_order: int | None) -> FiniteGroup:
+    return quasidihedral(_two_power(k, 4, "quasidihedral"), max_order=max_order)
+
+
+def _modular(k: int, max_order: int | None) -> FiniteGroup:
+    pp = prime_power(k)
+    if pp is None:
+        raise ValueError(f"modular group order must be a prime power, got {k}")
+    return modular_group_M(pp[0], pp[1], max_order=max_order)
+
+
+def _heisenberg(k: int, max_order: int | None) -> FiniteGroup:
+    pp = prime_power(k)
+    if pp is None or pp[1] != 3:
+        raise ValueError(f"exponent-p group order must be p^3 for an odd prime p, got {k}")
+    return heisenberg_E(pp[0], max_order=max_order)
 
 
 def _permutation_family(name: str, n: int, max_order: int | None) -> FiniteGroup:
-    label = f"{name}({n})"
+    """A(n) or S(n), closed on two generators of 0..n-1."""
+    if not 1 <= n <= 7:
+        raise ValueError(f"{name}(n) supports 1 <= n <= 7, got {n}")
     cycles: list[tuple[int, ...]] = []
     if name == "S":
         if n >= 2:
@@ -378,5 +355,34 @@ def _permutation_family(name: str, n: int, max_order: int | None) -> FiniteGroup
             cycles.append((0, 1, 2))
         if n >= 4:  # the longest cycle of odd length, an even permutation
             cycles.append(tuple(range(1 - n % 2, n)))
-    gens = [Permutation.from_cycles([c], n) for c in cycles]
-    return from_generators(n, gens, max_order=max_order, label=label)
+    return _permutation_group(n, [[c] for c in cycles], max_order, f"{name}({n})")
+
+
+def _permutation_group(degree: int, gens, max_order: int | None, label=None) -> FiniteGroup:
+    """Generators given as disjoint cycles of 0..degree-1, closed on the points they
+    move renumbered in order; the default label is their Perm expression."""
+    maps = [_cycle_images(cycles, degree) for cycles in gens]
+    points = sorted(set().union(*maps))
+    rank = {x: r for r, x in enumerate(points)}
+    perms = [Permutation(tuple(rank[m.get(x, x)] for x in points)) for m in maps]
+    if label is None:
+        orbits = (_orbits(len(points), [p.images], operator.getitem) for p in perms)
+        shown = (_cycle_text([points[x] for x in o] for o in c if len(o) > 1) for c in orbits)
+        label = f"Perm({degree}; {', '.join(shown)})"
+    return from_generators(len(points), perms, max_order=max_order, label=label)
+
+
+_FAMILIES = {  # name -> (parameter count, builder(*params, max_order=...))
+    "Z": (1, cyclic),
+    "Ea": (2, elementary_abelian),
+    "D": (1, _dihedral),
+    "Q": (1, _quaternion),
+    "SD": (1, _quasidihedral),
+    "M": (1, _modular),
+    "P": (3, p_group_P),
+    "ZM": (3, zm_group),
+    "E": (1, _heisenberg),
+    "A": (1, functools.partial(_permutation_family, "A")),
+    "S": (1, functools.partial(_permutation_family, "S")),
+}
+FAMILY_NAMES = tuple(_FAMILIES)

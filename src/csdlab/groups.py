@@ -295,26 +295,12 @@ class Permutation(Frozen):
         """Build from disjoint cycles: notation such as "(0 1)(2 3)", or a
         sequence of cycles such as ((0, 1), (2, 3)); fixed points omitted.
 
-        "()" denotes the identity. Repeated indices across cycles are
-        rejected (cycles must be disjoint).
+        "()" denotes the identity. Cycles must be disjoint, and malformed
+        notation raises a ValueError naming its position.
         """
         if isinstance(cycles, str):
-            text, cycles = cycles, []
-            s = text.strip()
-            if not s:
-                raise ValueError("empty cycle string")
-            pos = 0
-            while pos < len(s):
-                if s[pos].isspace():
-                    pos += 1
-                    continue
-                if s[pos] != "(":
-                    raise ValueError(f"expected '(' at position {pos} in cycle string {text!r}")
-                end = s.find(")", pos)
-                if end < 0:
-                    raise ValueError(f"unclosed cycle in {text!r}")
-                cycles.append([int(tok) for tok in s[pos + 1 : end].split()])
-                pos = end + 1
+            from .expr import _cycles  # expr imports this module
+            cycles = _cycles(cycles)
         images = _cycle_images(cycles, degree)
         return cls(tuple(images.get(i, i) for i in range(degree)))
 
