@@ -103,10 +103,32 @@ class Perm(_Node):
 
 
 class Product(_Node):
+    """Compared, hashed, printed and pickled down its left spine in a loop, so a
+    chain of any length needs no recursion."""
+
     __slots__ = ("left", "right", "span")
 
     def __init__(self, left: GroupExpr, right: GroupExpr, span: Span = (0, 0)):
         self._fill(left, right, span)
+
+    def _key(self) -> tuple:
+        return tuple(_factors(self))
+
+    def __repr__(self) -> str:
+        first, products = _spine(self)
+        tails = "".join(f", right={p.right!r}, span={p.span!r})" for p in products)
+        return "Product(left=" * len(products) + repr(first) + tails
+
+    def __reduce__(self):
+        first, products = _spine(self)
+        return (_chain, (first, [(p.right, p.span) for p in products]))
+
+
+def _chain(first: GroupExpr, steps: list[tuple[GroupExpr, Span]]) -> GroupExpr:
+    """The product of ``first`` and each (right, span) step, left to right."""
+    for right, span in steps:
+        first = Product(first, right, span)
+    return first
 
 
 GroupExpr = Union[Family, Perm, Product]
@@ -247,14 +269,21 @@ def _cycles(text: str) -> tuple[tuple[int, ...], ...]:
     return cycles
 
 
-def _factors(expr: GroupExpr) -> list[GroupExpr]:
-    """The factors down a product's left spine, leftmost first, found in a
-    loop: a chain of any length needs no recursion."""
-    factors = []
+def _spine(expr: GroupExpr) -> tuple[GroupExpr, list[Product]]:
+    """The leftmost factor and the products down a product's left spine,
+    innermost first, found in a loop: a chain of any length needs no recursion."""
+    products = []
     while isinstance(expr, Product):
-        factors.append(expr.right)
+        products.append(expr)
         expr = expr.left
-    return [expr, *reversed(factors)]
+    products.reverse()
+    return expr, products
+
+
+def _factors(expr: GroupExpr) -> list[GroupExpr]:
+    """The factors down a product's left spine, leftmost first."""
+    first, products = _spine(expr)
+    return [first, *(p.right for p in products)]
 
 
 def render(expr: GroupExpr) -> str:

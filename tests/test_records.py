@@ -119,3 +119,19 @@ def test_run_report_compares_by_fields_is_unhashable_and_assignable():
     assert report == full_report(wall_ms=2.0)
     copy = pickle.loads(pickle.dumps(report))
     assert copy == report and repr(copy) == repr(report)
+
+
+def test_long_product_chain_compares_hashes_prints_and_pickles_without_recursion():
+    count = 2000
+    text = "x".join(["Z(1)"] * count)
+    chain, twin = parse(text), parse(text)
+    assert chain == twin and hash(chain) == hash(twin)
+    assert chain != parse(text + "xZ(2)")
+    expected = "Family(name='Z', params=(1,), span=(0, 4))"
+    for k in range(1, count):
+        start = 5 * k
+        right = f"Family(name='Z', params=(1,), span=({start}, {start + 4}))"
+        expected = f"Product(left={expected}, right={right}, span=(0, {start + 4}))"
+    assert repr(chain) == expected
+    copy = pickle.loads(pickle.dumps(chain))
+    assert copy == chain and repr(copy) == expected
