@@ -140,14 +140,16 @@ class LowerBounds(Frozen):
 
 
 def lower_bounds(group: FiniteGroup, max_order: int | None = None) -> LowerBounds:
-    """Evaluate the three lower bounds; needs the full lattice for the abelian one."""
+    """Evaluate the three lower bounds; needs the full lattice for the abelian
+    one, so the lattice guardrail is checked before any work."""
+    _check_order(group.order, max_order, DEFAULT_MAX_LATTICE_ORDER, "lattice max order")
     poset = cyclic_subgroups(group, max_order=group.order)
     m = len(poset.subgroups)
     normal_cyclic = Fraction(
         sum(1 for sub in poset.subgroups if is_normal(sub)), m
     )
     pair_floor = Fraction(2 * m - 1, m * m)
-    lat = subgroup_lattice(group, max_order=max_order)
+    lat = subgroup_lattice(group, max_order=group.order)
     cyc = group._cyclic_of  # |L1(M)| counts the <x> for x in M
     l1 = sorted(((len({cyc[x] for x in s.elems}), s.members) for s in lat.subgroups), reverse=True)
     # the first abelian M in decreasing |L1(M)| (the trivial one at worst) sets the maximum

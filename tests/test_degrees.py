@@ -201,6 +201,13 @@ def test_lower_bounds_match_oracle(small_corpus):
         ), text
 
 
+def test_lower_bounds_checks_the_lattice_guardrail_before_any_work():
+    group = dihedral(150)  # order 300, over the lattice cap of 256
+    with pytest.raises(GuardrailExceeded, match="^order 300 exceeds lattice max order 256$"):
+        lower_bounds(group)
+    assert group._cyclic_poset is None
+
+
 def test_lower_bounds_s3():
     bounds = lower_bounds(G("S(3)"))
     assert bounds.normal_cyclic == Fraction(2, 5)
