@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csdlab.errors import GuardrailExceeded
+from csdlab.groups import Permutation, from_generators
 from csdlab.expr import (
     FAMILY_NAMES,
     ExprError,
@@ -162,6 +163,118 @@ def test_perm_is_built_on_its_moved_points():
     assert big.label == "Perm(99999999; (0 1), ())"
     with pytest.raises(ExprError, match="cycle entry 10 out of range for degree 10"):
         evaluate(parse("Perm(10; (2 5), (10 7))"))
+
+
+# Each expression's order and label, or its exact error: the message and
+# span of an ExprError, the message of a GuardrailExceeded.
+FAMILY_CASES = [
+    ("Z(6)", (6, "Z(6)")),
+    ("Z(1)", (1, "Z(1)")),
+    ("Ea(2,3)", (8, "Ea(2,3)")),
+    ("Ea(5,1)", (5, "Ea(5,1)")),
+    ("D(8)", (8, "D(8)")),
+    ("D(4)", (4, "D(4)")),
+    ("Q(16)", (16, "Q(16)")),
+    ("Q(8)", (8, "Q(8)")),
+    ("SD(16)", (16, "SD(16)")),
+    ("M(16)", (16, "M(16)")),
+    ("M(27)", (27, "M(27)")),
+    ("P(2,3,2)", (6, "P(2,3,2)")),
+    ("P(3,3,2)", (18, "P(3,3,2)")),
+    ("ZM(7,3,2)", (21, "ZM(7,3,2)")),
+    ("E(27)", (27, "E(27)")),
+    ("A(1)", (1, "A(1)")),
+    ("A(4)", (12, "A(4)")),
+    ("A(5)", (60, "A(5)")),
+    ("S(1)", (1, "S(1)")),
+    ("S(2)", (2, "S(2)")),
+    ("S(4)", (24, "S(4)")),
+    ("S(5)", (120, "S(5)")),
+    # permutation groups on sparse points: the label keeps the degree and
+    # points, each generator's cycles in canonical order
+    ("Perm(1;)", (1, "Perm(1; )")),
+    ("Perm(10; (2 5), (5 7 9))", (24, "Perm(10; (2 5), (5 7 9))")),
+    ("Perm(99999999; (1 0), ())", (2, "Perm(99999999; (0 1), ())")),
+    ("Perm(4; (0 1)(2 3), (0 2)(1 3))", (4, "Perm(4; (0 1)(2 3), (0 2)(1 3))")),
+    ("Perm(6; (5 3)(1 0), (4 2 0))", (24, "Perm(6; (0 1)(3 5), (0 4 2))")),
+    ("Perm(8; (7), (6 5))", (2, "Perm(8; (), (5 6))")),
+    # shape errors
+    ("D(7)", (ExprError, "dihedral order must be even and >= 4, got 7", (0, 4))),
+    ("D(2)", (ExprError, "dihedral order must be even and >= 4, got 2", (0, 4))),
+    ("Q(12)", (ExprError, "generalized quaternion order must be 2^n with n >= 3, got 12", (0, 5))),
+    ("Q(4)", (ExprError, "generalized quaternion order must be 2^n with n >= 3, got 4", (0, 4))),
+    ("Z(2)xQ(12)", (ExprError, "generalized quaternion order must be 2^n with n >= 3, got 12", (5, 10))),
+    ("SD(8)", (ExprError, "quasidihedral order must be 2^n with n >= 4, got 8", (0, 5))),
+    ("SD(24)", (ExprError, "quasidihedral order must be 2^n with n >= 4, got 24", (0, 6))),
+    ("M(12)", (ExprError, "modular group order must be a prime power, got 12", (0, 5))),
+    ("M(1)", (ExprError, "modular group order must be a prime power, got 1", (0, 4))),
+    ("E(16)", (ExprError, "exponent-p group order must be p^3 for an odd prime p, got 16", (0, 5))),
+    ("E(12)", (ExprError, "exponent-p group order must be p^3 for an odd prime p, got 12", (0, 5))),
+    ("E(8)", (ExprError, "need an odd prime, got 2", (0, 4))),
+    ("A(8)", (ExprError, "A(n) supports 1 <= n <= 7, got 8", (0, 4))),
+    ("S(0)", (ExprError, "S(n) supports 1 <= n <= 7, got 0", (0, 4))),
+    ("Z(0)", (ExprError, "cyclic group order must be >= 1, got 0", (0, 4))),
+    ("Ea(4,2)", (ExprError, "elementary abelian base 4 is not prime", (0, 7))),
+    ("P(2,7,5)", (ExprError, "q must be a prime divisor of p-1, got p=7, q=5", (0, 8))),
+    # arity errors
+    ("Z(6,2)", (ExprError, "Z takes 1 parameter(s), got 2", (0, 6))),
+    ("Ea(2)", (ExprError, "Ea takes 2 parameter(s), got 1", (0, 5))),
+    ("P(2,3)", (ExprError, "P takes 3 parameter(s), got 2", (0, 6))),
+    ("ZM(7,3)", (ExprError, "ZM takes 3 parameter(s), got 2", (0, 7))),
+    ("D(8,2)", (ExprError, "D takes 1 parameter(s), got 2", (0, 6))),
+    ("S(3,1)", (ExprError, "S takes 1 parameter(s), got 2", (0, 6))),
+    # over the cap: named before the shape
+    ("Q(1000)", (GuardrailExceeded, "order 1000 exceeds max order 512", None)),
+    ("Ea(3,100000000)", (GuardrailExceeded, "order 3^100000000 exceeds max order 512", None)),
+    ("D(1001)", (GuardrailExceeded, "order 1001 exceeds max order 512", None)),
+    ("S(6)", (GuardrailExceeded, "generator closure exceeds max order 512", None)),
+    # cycles that do not fit the degree
+    ("Perm(3; (0 9))", (ExprError, "cycle entry 9 out of range for degree 3", (0, 14))),
+    ("Perm(3; (0 0))", (ExprError, "cycles are not disjoint: 0 repeats", (0, 14))),
+    ("Perm(10; (2 5), (10 7))", (ExprError, "cycle entry 10 out of range for degree 10", (0, 23))),
+]
+
+
+@pytest.mark.parametrize("text,expected", FAMILY_CASES)
+def test_family_results_and_errors_are_pinned(text, expected):
+    if len(expected) == 2:
+        group = evaluate(parse(text))
+        assert (group.order, group.label) == expected
+        return
+    kind, message, span = expected
+    with pytest.raises(kind) as info:
+        evaluate(parse(text))
+    if kind is ExprError:
+        assert (info.value.message, info.value.span) == (message, span)
+        assert str(info.value) == f"{message} (at {span[0]}..{span[1]})"
+    else:
+        assert str(info.value) == message
+
+
+def test_family_names():
+    assert FAMILY_NAMES == ("Z", "Ea", "D", "Q", "SD", "M", "P", "ZM", "E", "A", "S")
+
+
+# The generators A(n) and S(n) are documented to close, written out here.
+SYMMETRIC_GENERATORS = {
+    1: [], 2: ["(0 1)"], 3: ["(0 1)", "(0 1 2)"], 4: ["(0 1)", "(0 1 2 3)"],
+    5: ["(0 1)", "(0 1 2 3 4)"], 6: ["(0 1)", "(0 1 2 3 4 5)"], 7: ["(0 1)", "(0 1 2 3 4 5 6)"],
+}
+ALTERNATING_GENERATORS = {
+    1: [], 2: [], 3: ["(0 1 2)"], 4: ["(0 1 2)", "(1 2 3)"], 5: ["(0 1 2)", "(0 1 2 3 4)"],
+    6: ["(0 1 2)", "(1 2 3 4 5)"], 7: ["(0 1 2)", "(0 1 2 3 4 5 6)"],
+}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("name,generators", [("A", ALTERNATING_GENERATORS), ("S", SYMMETRIC_GENERATORS)])
+def test_alternating_and_symmetric_match_their_generators(name, generators, n):
+    gens = [Permutation.from_cycles(text, n) for text in generators[n]]
+    direct = from_generators(n, gens, max_order=5040)
+    group = evaluate(parse(f"{name}({n})"), max_order=5040)
+    assert group.label == f"{name}({n})"
+    assert group.table == direct.table
+    assert (group.inverse, group.elem_order) == (direct.inverse, direct.elem_order)
 
 
 def test_unknown_family_is_a_parse_error():

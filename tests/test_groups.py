@@ -415,6 +415,10 @@ def test_permutation_cycles_round_trip():
     for bad in ([(0, 1), (1, 2)], [(0, 3)]):
         with pytest.raises(ValueError):
             Permutation.from_cycles(bad, 3)
+    # the notation is read by the expression grammar, which names the position
+    for bad in ("(0_1 2)", "(+1 2)", "", "(1 2)junk"):
+        with pytest.raises(ValueError, match=r"\(at position \d+\)$"):
+            Permutation.from_cycles(bad, 3)
 
 
 def test_direct_product_structure():
