@@ -37,7 +37,7 @@ from .formulas import (
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _cap
 from .intmath import is_prime, primes_in
 from .lattice import DEFAULT_MAX_LATTICE_ORDER, DEFAULT_MAX_SECTIONS_ORDER
-from .lattice import _section_degrees, _sections_lattice, cyclic_subgroups, subgroup_lattice
+from .lattice import _l1_size, _section_degrees, _sections_lattice, subgroup_lattice
 from .reports import FORMATS, RunReport, emit, emit_rows
 
 DEGREE_OPS = ("csd", "d", "sd", "ndeg", "cdeg", "lattice", "csd_star", "is_iwasawa")
@@ -106,11 +106,10 @@ def _compute_report(task: tuple[str, frozenset, Caps, bool]) -> RunReport:
     text, ops, caps, timing = task
     start = time.perf_counter()
     group = _evaluate(text, caps)
-    poset = cyclic_subgroups(group, max_order=group.order)
     report = RunReport(
         group=text,
         order=group.order,
-        l1=len(poset),
+        l1=_l1_size(group),
         csd=csd(group, max_order=group.order),
         d=d(group),
     )

@@ -11,8 +11,10 @@ Every degree is a fractions.Fraction in lowest terms, never a float:
 
 Pair counts are over ordered pairs. Conjugation preserves permutability
 and commutativity, so csd and sd test one subgroup per conjugacy orbit
-(lattice.count_permuting_pairs, counted once per group and kept) and d
-counts conjugacy classes.
+and d counts conjugacy classes. Each count is made once per group and
+kept: csd's from the classes of cyclic subgroups that the group's power
+walk found (lattice._cyclic_pairs; no cyclic poset is built), sd's over
+the lattice (lattice.count_permuting_pairs).
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from .groups import FiniteGroup, _check_order, _conjugation_maps, _orbits
 from .lattice import (
     DEFAULT_MAX_LATTICE_ORDER,
     DEFAULT_MAX_SECTIONS_ORDER,
+    _check_cyclic_order,
+    _cyclic_pairs,
     _kept_pairs,
+    _l1_size,
     _section_degrees,
-    cyclic_subgroups,
     is_normal,
     subgroup_lattice,
 )
@@ -42,8 +46,8 @@ def csd(group: FiniteGroup, jobs: int | None = None, max_order: int | None = Non
     pair test per conjugacy orbit, pickling the table to workers cost
     more than the tests it would share out.
     """
-    poset = cyclic_subgroups(group, max_order=max_order)
-    return Fraction(_kept_pairs(poset), len(poset) ** 2)
+    _check_cyclic_order(group, max_order)
+    return Fraction(_cyclic_pairs(group), _l1_size(group) ** 2)
 
 
 def sd(group: FiniteGroup, max_order: int | None = None) -> Degree:
@@ -69,8 +73,7 @@ def ndeg(group: FiniteGroup, max_order: int | None = None) -> Degree:
 def cdeg(group: FiniteGroup, max_order: int | None = None) -> Degree:
     """Proportion of subgroups that are cyclic."""
     lat = subgroup_lattice(group, max_order=max_order)
-    poset = cyclic_subgroups(group, max_order=group.order)
-    return Fraction(len(poset.subgroups), len(lat.subgroups))
+    return Fraction(_l1_size(group), len(lat.subgroups))
 
 
 def d(group: FiniteGroup) -> Degree:
@@ -123,7 +126,8 @@ class LowerBounds(Frozen):
     """The three elementary lower bounds on csd(G).
 
     normal_cyclic: |N(G) ∩ L1(G)| / |L1(G)| — normal cyclic subgroups
-        permute with everything.
+        permute with everything. A cyclic subgroup is normal iff its
+        conjugacy class has one member.
     pair_floor: (2|L1(G)| − 1) / |L1(G)|^2 — every subgroup permutes
         with itself, the trivial subgroup and G.
     abelian_subgroup: max over abelian subgroups M of
@@ -143,11 +147,8 @@ def lower_bounds(group: FiniteGroup, max_order: int | None = None) -> LowerBound
     """Evaluate the three lower bounds; needs the full lattice for the abelian
     one, so the lattice guardrail is checked before any work."""
     _check_order(group.order, max_order, DEFAULT_MAX_LATTICE_ORDER, "lattice max order")
-    poset = cyclic_subgroups(group, max_order=group.order)
-    m = len(poset.subgroups)
-    normal_cyclic = Fraction(
-        sum(1 for sub in poset.subgroups if is_normal(sub)), m
-    )
+    m = _l1_size(group)
+    normal_cyclic = Fraction(sum(1 for cls in group._cyclic_classes if len(cls) == 1), m)
     pair_floor = Fraction(2 * m - 1, m * m)
     lat = subgroup_lattice(group, max_order=group.order)
     cyc = group._cyclic_of  # |L1(M)| counts the <x> for x in M

@@ -4,8 +4,9 @@ Grammar (whitespace insignificant):
 
     expr  := term ('x' term)*                  left-associative product
     term  := FAMILY '(' int (',' int)* ')'
-           | 'Perm' '(' int ';' cycles ')'
+           | 'Perm' '(' int ';' [gen (',' gen)*] ')'
            | '(' expr ')'
+    gen   := ('(' int* ')')+                   one generator, as its cycles
 
 Families: Z, Ea, D, Q, SD, M, P, ZM, E, A, S. The single-argument
 families D, Q, SD, M, E take the group ORDER (so D(16) is the dihedral
@@ -234,8 +235,9 @@ class _Parser:
         return Perm(degree, tuple(gens), (pos, endpos + 1))
 
     def parse_cycles(self) -> tuple[tuple[int, ...], ...]:
+        """One generator: at least one cycle, so an empty generator is an error."""
         cycles = []
-        while self.peek()[0] == "(":
+        while True:
             self.take("(")
             points = []
             while self.peek()[0] == "int":
@@ -243,7 +245,8 @@ class _Parser:
             self.take(")")
             if points:
                 cycles.append(tuple(points))
-        return tuple(cycles)
+            if self.peek()[0] != "(":
+                return tuple(cycles)
 
 
 def parse(text: str) -> GroupExpr:
@@ -262,8 +265,6 @@ def parse(text: str) -> GroupExpr:
 def _cycles(text: str) -> tuple[tuple[int, ...], ...]:
     """The cycles of one Perm generator, such as "(0 1)(2 3)" or "()"."""
     parser = _Parser(text)
-    if parser.peek()[0] != "(":  # at least one cycle, so empty text is an error too
-        parser.take("(")
     cycles = parser.parse_cycles()
     parser.take("end")
     return cycles

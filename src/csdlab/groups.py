@@ -78,8 +78,13 @@ class FiniteGroup:
     Element orders, inverses and ``_cyclic_of[a]`` (the mask of <a>) come
     from one power walk, on the element's own row, per conjugacy class of
     cyclic subgroups; the whole-group conjugation maps (``_conj_maps``) carry
-    each walk to the rest of its class. Never mutated after construction,
-    apart from the rows and private caches: the collections that
+    each walk to the rest of its class. The walk keeps those classes in
+    ``_cyclic_classes``: each is a list of power lists [0, a, a^2, ...],
+    the walked <a> first, and the trivial subgroup [0] is a class of its
+    own, so L1(G) is every power list and csd counts its pairs from these
+    classes (``lattice._cyclic_pairs``) without sorting them into
+    Subgroups. Never mutated after construction, apart from the rows and
+    private caches: that count (``_cyclic_pairs``) and the collections that
     lattice.cyclic_subgroups and lattice.subgroup_lattice return
     (``_cyclic_poset``, ``_lattice``). The cached Subgroups hold the group,
     a reference cycle that the cyclic garbage collector frees.
@@ -97,6 +102,8 @@ class FiniteGroup:
         "_rights",
         "_cyclic_of",
         "_conj_maps",
+        "_cyclic_classes",
+        "_cyclic_pairs",
         "_cyclic_poset",
         "_lattice",
     )
@@ -136,11 +143,14 @@ class FiniteGroup:
         conjugation maps, from the generators' right multiplications
         ``rights`` or, given None, from the greedy chain and the table's
         columns. Element 1 is walked before the maps are built, so a table
-        that is not a group is named by that walk, not by a closure."""
+        that is not a group is named by that walk, not by a closure. Each
+        class of cyclic subgroups is kept as its power lists, in the order
+        the maps reach them (``_cyclic_classes``)."""
         n = self.order
         self.identity = 0
         self.label = label
         inverse, elem_order, cyclic_of, units = [0] * n, [1] * n, [1] * n, {}
+        classes = [[[0]]]
 
         def fill(powers: list[int]) -> None:
             # each a^k with gcd(k, o) = 1 has order o, inverse a^(o-k) and <a^k> = <a>
@@ -170,11 +180,14 @@ class FiniteGroup:
                     if elem_order[image[1]] == 1:
                         fill(image)
                         todo.append(image)
+            classes.append(todo)
         self.inverse = tuple(inverse)
         self.elem_order = tuple(elem_order)
         self._cyclic_of = tuple(cyclic_of)
         self._conj_maps: list[tuple[int, ...]] = maps or []
         self._rights = rights or []
+        self._cyclic_classes = classes
+        self._cyclic_pairs = None
         self._cyclic_poset = None
         self._lattice = None
 
@@ -348,6 +361,13 @@ class Subgroup:
         self.members = members
         self.size = members.bit_count()
         self.elems = _elements(members)
+
+    @classmethod
+    def _known(cls, group: FiniteGroup, members: int, elems: tuple[int, ...]) -> Subgroup:
+        """The subgroup with mask ``members`` whose ascending elements are ``elems``."""
+        self = cls.__new__(cls)
+        self.group, self.members, self.size, self.elems = group, members, len(elems), elems
+        return self
 
     @classmethod
     def from_elements(cls, group: FiniteGroup, elements) -> Subgroup:

@@ -7,14 +7,18 @@ with g^p in H, and <H, g> is closed as a union of cosets of H (see
 subgroup_lattice for why this finds every subgroup). Collections are
 ordered by (size, mask value) so every enumeration is deterministic.
 Each group is enumerated once: its cyclic poset and its lattice are
-kept on it, and every call returns those same collections.
+kept on it, and every call returns those same collections. The pairs
+of L1(G) are counted from the conjugacy classes that the group's power
+walk found (_cyclic_pairs), with no collection built.
 The sections H/N and their csd are walked inside the lattice of G by the
 correspondence theorem (_section_degrees), with no quotient table.
-Every pair of subgroups, cyclic or not, is tested by ``permutes``.
+Every pair of subgroups, cyclic or not, is tested by ``permutes``' body,
+and every count of pairs goes through ``_count_pairs``.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterator
 
@@ -64,11 +68,43 @@ CyclicPoset = SubgroupLattice  # the collection cyclic_subgroups returns
 
 
 def cyclic_subgroups(group: FiniteGroup, max_order: int | None = None) -> CyclicPoset:
-    """The poset of cyclic subgroups: every ⟨g⟩ for g in the group, deduplicated."""
-    _check_order(group.order, max_order, DEFAULT_MAX_ORDER, "cyclic-poset max order")
+    """The poset of cyclic subgroups: every ⟨g⟩ for g in the group, deduplicated.
+
+    Built on first request from the power lists of the group's walk (see
+    FiniteGroup), each sorted into its subgroup's elements; csd does not
+    need it.
+    """
+    _check_cyclic_order(group, max_order)
     if group._cyclic_poset is None:
-        group._cyclic_poset = CyclicPoset(group, _sorted_subgroups(group, set(group._cyclic_of)))
+        cyc = group._cyclic_of  # a power list's last entry generates it
+        subs = [
+            Subgroup._known(group, cyc[p[-1]], tuple(sorted(p)))
+            for cls in group._cyclic_classes
+            for p in cls
+        ]
+        subs.sort(key=lambda s: (s.size, s.members))
+        group._cyclic_poset = CyclicPoset(group, subs)
     return group._cyclic_poset
+
+
+def _check_cyclic_order(group: FiniteGroup, max_order: int | None) -> None:
+    _check_order(group.order, max_order, DEFAULT_MAX_ORDER, "cyclic-poset max order")
+
+
+def _l1_size(group: FiniteGroup) -> int:
+    """|L1(G)|: the number of power lists the group's walk kept."""
+    return sum(map(len, group._cyclic_classes))
+
+
+def _cyclic_pairs(group: FiniteGroup) -> int:
+    """The ordered pairs of cyclic subgroups of G that permute, counted once
+    from the walk's conjugacy classes and kept on G: csd, sd, csd_star,
+    is_iwasawa and the H = G section reuse it."""
+    if group._cyclic_pairs is None:
+        cyc = group._cyclic_of
+        orbits = [[(cyc[p[-1]], p) for p in cls] for cls in group._cyclic_classes]
+        group._cyclic_pairs = _count_pairs(group, orbits)
+    return group._cyclic_pairs
 
 
 def subgroup_lattice(group: FiniteGroup, max_order: int | None = None) -> SubgroupLattice:
@@ -102,12 +138,9 @@ def subgroup_lattice(group: FiniteGroup, max_order: int | None = None) -> Subgro
     """
     _check_order(group.order, max_order, DEFAULT_MAX_LATTICE_ORDER, "lattice max order")
     if group._lattice is None:
-        group._lattice = SubgroupLattice(group, _sorted_subgroups(group, _lattice_worklist(group)))
+        masks = sorted(_lattice_worklist(group), key=lambda m: (m.bit_count(), m))
+        group._lattice = SubgroupLattice(group, [Subgroup(group, m) for m in masks])
     return group._lattice
-
-
-def _sorted_subgroups(group: FiniteGroup, masks) -> list[Subgroup]:
-    return [Subgroup(group, m) for m in sorted(masks, key=lambda m: (m.bit_count(), m))]
 
 
 def _lattice_worklist(group: FiniteGroup) -> set[int]:
@@ -200,36 +233,54 @@ def permutes(h: Subgroup, k: Subgroup) -> bool:
     """True iff HK = KH, i.e. the two subgroups permute.
 
     This is the one permutability test; csd, sd and csd* all count pairs
-    with it. With s = |H||K|/|H∩K| the size of HK, three cases need no
+    with its body, ``_permutes``, which takes each subgroup as its mask and
+    elements. With s = |H||K|/|H∩K| the size of HK, three cases need no
     product: containment either way (they permute), s not dividing |G|
     (Lagrange: they cannot), and s = |G| (HK is G, so equals KH).
-    Otherwise HK is built by ``product_set`` from the rows of H's
-    elements, and tested for inverse-closure, which holds iff HK = KH.
+    Otherwise HK is built from the rows of H's elements. If HK = KH, HK is
+    a subgroup of order s, so a product whose order does not divide s
+    shows they do not permute: the products a*K of H's first element
+    a != 1 are checked so, and the test returns at the first that fails.
+    A product set that gets through is tested for inverse-closure, which
+    holds iff HK = KH.
     ``_count_pairs`` passes its orbit representative as H, so counting
     reads only the representatives' rows.
     """
     if h.group is not k.group:
         raise ValueError("subgroups belong to different groups")
-    mh, mk = h.members, k.members
+    return _permutes(h.group, h.members, h.elems, k.members, k.elems)
+
+
+def _permutes(group: FiniteGroup, mh: int, eh, mk: int, ek) -> bool:
+    """permutes for the subgroups with masks ``mh``, ``mk`` and elements
+    ``eh``, ``ek``, each listed from the identity."""
     union = mh | mk
     if union == mh or union == mk:
         return True
-    n = h.group.order
-    s = h.size * k.size // (mh & mk).bit_count()
+    n = group.order
+    s = len(eh) * len(ek) // (mh & mk).bit_count()
     if n % s:
         return False
     if s == n:
         return True
-    pm = product_set(h, k)
-    # HK = KH iff HK is inverse-closed, since (HK)^-1 = KH
-    inv = h.group.inverse
-    m = pm
-    while m:
-        lsb = m & -m
-        m ^= lsb
-        if not (pm >> inv[lsb.bit_length() - 1]) & 1:
+    # neither contains the other, so |H|, |K| >= 2 and ``times_k`` returns
+    # the tuple of products a*k, k in K, of a row a
+    rows = group._rows
+    times_k = operator.itemgetter(*ek)
+    # HK = KH makes HK a subgroup of order s, whose elements have orders
+    # dividing s. Only a*K for H's first element a != 1 (the generator of a
+    # power list) is checked, in Python, since that is where a non-permuting
+    # cyclic pair shows it; the rest of HK is gathered without a Python loop
+    order = group.elem_order
+    a = eh[1]
+    for x in times_k(rows[a] or group._row(a)):
+        if s % order[x]:
             return False
-    return True
+    hk = set()
+    for a in eh:
+        hk.update(times_k(rows[a] or group._row(a)))
+    # HK = KH iff HK is inverse-closed, since (HK)^-1 = KH
+    return hk.issuperset(map(group.inverse.__getitem__, hk))
 
 
 def c1(h: Subgroup, poset: CyclicPoset) -> list[Subgroup]:
@@ -251,27 +302,29 @@ def count_permuting_pairs(subgroups) -> int:
     subs = list(subgroups)
     if not subs:
         return 0
-    return _count_pairs(subs, _conjugation_maps(subs[0].group))
+    group = subs[0].group
+    return _count_pairs(group, _conjugacy_orbits(subs, _conjugation_maps(group)))
 
 
-def _kept_pairs(coll: SubgroupLattice) -> int:
-    """count_permuting_pairs of a group's cyclic poset or lattice, counted once
-    and kept on it: csd, sd, csd_star, is_iwasawa and the H = G section reuse it."""
-    if coll._pairs is None:
-        coll._pairs = count_permuting_pairs(coll.subgroups)
-    return coll._pairs
+def _kept_pairs(lat: SubgroupLattice) -> int:
+    """count_permuting_pairs of a group's lattice, counted once and kept on it."""
+    if lat._pairs is None:
+        lat._pairs = count_permuting_pairs(lat.subgroups)
+    return lat._pairs
 
 
-def _count_pairs(subs: list[Subgroup], maps) -> int:
-    """count_permuting_pairs for distinct subgroups of a subgroup K, closed
-    under conjugation by K, whose maps are ``maps``. An orbit of one is then
-    normal in K and permutes with every member."""
-    position = {s.members: i for i, s in enumerate(subs)}
-    if len(position) != len(subs):
-        raise ValueError("subgroup collection has duplicates")
-    orbits = _conjugacy_orbits(subs, position, maps)
-    normal = {o[0] for o in orbits if len(o) == 1}
-    flat = [j for o in orbits for j in o]
+def _count_pairs(group: FiniteGroup, orbits) -> int:
+    """The permuting ordered pairs of distinct subgroups of a subgroup K of
+    ``group``, given as their conjugacy orbits under K: lists of (mask,
+    elements), the first member of each the one tested. Conjugation maps
+    permuting pairs to permuting pairs, so an orbit O adds |O| * (w + 2x),
+    w counting the partners of its first member in O and x those in later
+    orbits. An orbit of one is normal in K and permutes with every member,
+    so it is never tested. The orbits are taken largest first, so two
+    orbits cost as many tests as the smaller has members."""
+    orbits = sorted(orbits, key=len, reverse=True)
+    normal = {o[0][0] for o in orbits if len(o) == 1}
+    flat = [sub for o in orbits for sub in o]
     total = 0
     start = 0
     for orbit in orbits:
@@ -279,16 +332,21 @@ def _count_pairs(subs: list[Subgroup], maps) -> int:
         if size == 1:
             total += 1 + 2 * (len(flat) - start - 1)
         else:
-            rep = subs[orbit[0]]
-            hits = [j in normal or permutes(rep, subs[j]) for j in flat[start:]]
+            mh, eh = orbit[0]
+            hits = [mk in normal or _permutes(group, mh, eh, mk, ek) for mk, ek in flat[start:]]
             total += size * (sum(hits[:size]) + 2 * sum(hits[size:]))
         start += size
     return total
 
 
-def _conjugacy_orbits(subs, position, maps) -> list[list[int]]:
-    """Positions of the subgroups grouped into conjugacy orbits, each
-    orbit listed from its first member in collection order."""
+def _conjugacy_orbits(subs, maps) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """The distinct subgroups ``subs``, as (mask, elements), grouped into
+    their orbits under the conjugation ``maps``, each orbit listed from its
+    first member in collection order (see groups._orbits). Raises
+    ValueError if ``subs`` has duplicates or is not closed under the maps."""
+    position = {s.members: i for i, s in enumerate(subs)}
+    if len(position) != len(subs):
+        raise ValueError("subgroup collection has duplicates")
 
     def image(c, j: int) -> int:
         mask = 0
@@ -299,7 +357,7 @@ def _conjugacy_orbits(subs, position, maps) -> list[list[int]]:
             raise ValueError("subgroup collection is not closed under conjugation")
         return p
 
-    return _orbits(len(subs), maps, image)
+    return [[(subs[j].members, subs[j].elems) for j in o] for o in _orbits(len(subs), maps, image)]
 
 
 def sections(group: FiniteGroup, max_order: int | None = None) -> Iterator[FiniteGroup]:
@@ -352,7 +410,7 @@ def _section_degrees(
     position = {s.members: i for i, s in enumerate(subs)}
     heads = range(len(subs))
     if minimum:
-        heads = [o[0] for o in _conjugacy_orbits(subs, position, _conjugation_maps(group))]
+        heads = [position[o[0][0]] for o in _conjugacy_orbits(subs, _conjugation_maps(group))]
     images: dict[tuple[int, int], int] = {}  # (N, <g>) -> N<g>
     one = Fraction(1)
     for i in heads:
@@ -360,10 +418,11 @@ def _section_degrees(
         mh = h.members
         maps = _conjugation_maps(group, mh)
         inside = {cyclic_of[x]: x for x in h.elems}  # <x> -> a generator
-        # lattice order: the order sets _count_pairs' tests (S(5): 919, in element order 963)
-        l1 = [subs[j] for j in sorted(position[c] for c in inside)]
-        count = _kept_pairs(cyclic_subgroups(group, n)) if mh == full else _count_pairs(l1, maps)
-        csd_h = Fraction(count, len(l1) ** 2)
+        if mh == full:
+            csd_h = Fraction(_cyclic_pairs(group), len(inside) ** 2)
+        else:
+            l1 = [subs[position[c]] for c in inside]
+            csd_h = Fraction(_count_pairs(group, _conjugacy_orbits(l1, maps)), len(l1) ** 2)
         yield h, subs[0], csd_h
         if not quotients or (minimum and csd_h == 1):
             continue
@@ -387,5 +446,6 @@ def _section_degrees(
                         t, mn, nsub.elems, (g,), largest_proper, full
                     )
                 found.add(mk)
-            count = _count_pairs([subs[position[mk]] for mk in found], maps)
+            l1 = [subs[position[mk]] for mk in found]
+            count = _count_pairs(group, _conjugacy_orbits(l1, maps))
             yield h, nsub, Fraction(count, len(found) ** 2)

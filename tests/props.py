@@ -78,11 +78,16 @@ def suite_c1_superset(corpus) -> int:
 
 
 def suite_lower_bounds(corpus) -> int:
-    """csd is at least each of the three lattice lower bounds."""
+    """csd is at least each of the three lattice lower bounds; the
+    normal_cyclic bound, counted from the power walk's one-member classes,
+    counts the cyclic subgroups that is_normal accepts."""
     cases = 0
     for group in _groups(corpus):
         value = csd(group, max_order=group.order)
         bounds = lower_bounds(group, max_order=group.order)
+        poset = cyclic_subgroups(group, max_order=group.order)
+        normal = sum(1 for sub in poset.subgroups if is_normal(sub))
+        assert bounds.normal_cyclic == Fraction(normal, len(poset)), group.label
         for bound in bounds.all():
             assert value >= bound, (group.label, value, bound)
             cases += 1

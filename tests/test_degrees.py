@@ -15,7 +15,7 @@ from csdlab.degrees import (
 )
 from csdlab.errors import GuardrailExceeded
 from csdlab.expr import evaluate, parse
-from csdlab.groups import cyclic, dihedral, heisenberg_E
+from csdlab.groups import center, cyclic, dihedral, heisenberg_E, quotient
 from csdlab.lattice import _section_degrees, count_permuting_pairs, sections, subgroup_lattice
 from oracle import (
     brute_csd,
@@ -57,8 +57,23 @@ def test_csd_frozen_values(text, value):
 
 
 def test_csd_matches_oracle(small_corpus):
-    for text, group in small_corpus + [(t, G(t)) for t in ("A(5)", "S(5)")]:
+    d16 = G("D(16)")
+    full_table = ("D(16)/Z", quotient(d16, center(d16)))
+    for text, group in small_corpus + [(t, G(t)) for t in ("A(5)", "S(5)")] + [full_table]:
         assert csd(group, max_order=group.order) == brute_csd(group), text
+
+
+def test_csd_counts_from_the_walk_without_a_cyclic_poset():
+    # every degree, and the section walk's H = G row, reads csd's pairs
+    # from the power walk's classes; only cyclic_subgroups builds the poset
+    for text in ("S(4)", "D(8)xEa(2,2)", "Z(12)", "E(27)"):
+        group = G(text)
+        value = csd(group)
+        for degree in (sd, csd_star, is_iwasawa, cdeg, lower_bounds):
+            degree(group)
+        whole = [v for h, n, v in _section_degrees(subgroup_lattice(group)) if h.size == group.order]
+        assert whole[0] == value == brute_csd(group), text
+        assert group._cyclic_poset is None, text
 
 
 def test_csd_parallel_equals_sequential():
@@ -205,7 +220,7 @@ def test_lower_bounds_checks_the_lattice_guardrail_before_any_work():
     group = dihedral(150)  # order 300, over the lattice cap of 256
     with pytest.raises(GuardrailExceeded, match="^order 300 exceeds lattice max order 256$"):
         lower_bounds(group)
-    assert group._cyclic_poset is None
+    assert group._cyclic_poset is None and group._lattice is None
 
 
 def test_lower_bounds_s3():

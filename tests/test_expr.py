@@ -35,6 +35,7 @@ ORDER_CASES = [
     ("A(2)", 1),
     ("A(3)", 3),
     ("Perm(1;)", 1),
+    ("Perm(3; ())", 1),
     ("Perm(4; (0 1)(2 3), (0 2)(1 3))", 4),
     ("Perm(3; (0 1 2), (0 1))", 6),
     ("Z(2)xZ(3)", 6),
@@ -97,6 +98,21 @@ def test_evaluate_rejects(text):
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("Perm(3; (0 1), )", "expected '(', found ')' (at position 15)"),
+        ("Perm(3; (0 1),, (1 2))", "expected '(', found ',' (at position 14)"),
+        ("Perm(3; , (0 1))", "expected ')', found ',' (at position 8)"),
+    ],
+)
+def test_perm_generator_is_never_empty(text, message):
+    # a generator is at least one cycle, "()" for the identity
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def test_parse_error_carries_position():

@@ -11,6 +11,9 @@ from csdlab.groups import (
     FiniteGroup,
     Permutation,
     Subgroup,
+    _conjugation_maps,
+    _mask_of,
+    center,
     cyclic,
     dihedral,
     direct_product,
@@ -19,10 +22,13 @@ from csdlab.groups import (
     generalized_quaternion,
     generated_mask,
     quasidihedral,
+    quotient,
+    relabel,
     subgroup_as_group,
     trivial_subgroup,
 )
 from csdlab.lattice import (
+    _conjugacy_orbits,
     _section_degrees,
     _sections_lattice,
     c1,
@@ -173,6 +179,52 @@ def test_is_normal_matches_conjugation_by_every_element(text):
     assert 2 < normal < len(subs)
 
 
+def walk_groups(corpus):
+    """The corpus (families and products) with a group of every other
+    construction: Perm, A(n)/S(n), relabel, and the full tables of
+    quotient and subgroup_as_group."""
+    s4 = evaluate(parse("S(4)"))
+    d16 = evaluate(parse("D(16)"))
+    swap = Permutation((0,) + tuple(range(s4.order - 1, 0, -1)))
+    more = [
+        ("Perm(5; (0 1 2 3), (3 4))", evaluate(parse("Perm(5; (0 1 2 3), (3 4))"))),
+        ("A(5)", evaluate(parse("A(5)"))),
+        ("S(4)~relabeled", relabel(s4, swap)),
+        ("D(16)/Z", quotient(d16, center(d16))),
+        ("S(4)>A(4)", subgroup_as_group(subgroup_lattice(s4).subgroups[-2])),
+    ]
+    return corpus + more
+
+
+def test_walk_classes_are_the_conjugacy_orbits_of_the_cyclic_poset(corpus):
+    # csd counts its pairs from the power walk's classes; they must be
+    # exactly the orbits that count_permuting_pairs finds on the poset
+    for text, group in walk_groups(corpus):
+        classes = group._cyclic_classes
+        assert classes[0] == [[0]], text
+        for cls in classes[1:]:
+            for powers in cls:
+                assert powers == group._powers(powers[1]), (text, powers)
+        poset = cyclic_subgroups(group, max_order=group.order)
+        orbits = _conjugacy_orbits(poset.subgroups, _conjugation_maps(group))
+        walked = {frozenset(_mask_of(p) for p in cls) for cls in classes}
+        assert walked == {frozenset(mask for mask, _ in o) for o in orbits}, text
+        assert sum(map(len, classes)) == len(poset), text
+
+
+def test_cyclic_subgroups_keep_masks_order_and_repr(corpus):
+    # the poset is the distinct masks <x>, in (size, mask) order, each
+    # Subgroup as a mask would build it
+    for text, group in walk_groups(corpus):
+        masks = sorted(set(group._cyclic_of), key=lambda m: (m.bit_count(), m))
+        before = [Subgroup(group, m) for m in masks]
+        after = list(cyclic_subgroups(group, max_order=group.order))
+        assert [(s.members, s.size, s.elems) for s in after] == [
+            (s.members, s.size, s.elems) for s in before
+        ], text
+        assert repr(after) == repr(before), text
+
+
 def test_normal_subgroups_match_oracle(small_corpus):
     for text, group in small_corpus:
         if group.order > 16:
@@ -181,16 +233,27 @@ def test_normal_subgroups_match_oracle(small_corpus):
         assert engine == brute_normals(group), text
 
 
-def test_permutes_agrees_with_set_oracle(small_corpus):
-    # every lattice pair: the oracle is the only check of permutes that
-    # shares no code with it, on non-cyclic pairs and on each fast path
-    for text, group in small_corpus:
+def test_permutes_agrees_with_set_oracle(corpus):
+    # every lattice pair up to order 32: the oracle is the only check of
+    # permutes that shares no code with it, on non-cyclic pairs, on each
+    # fast path and on the early exit, which must never refuse a
+    # permuting pair; then the cyclic pairs of two larger groups
+    for text, group in corpus:
+        if group.order > 32:
+            continue
         lat = list(subgroup_lattice(group, max_order=group.order))
         for h in lat:
             for k in lat:
                 expected = brute_permutes(
                     group.table, frozenset(h.elems), frozenset(k.elems)
                 )
+                assert permutes(h, k) == expected, (text, h.elems, k.elems)
+    for text in ("S(5)", "Z(3)xA(4)"):
+        group = evaluate(parse(text))
+        poset = list(cyclic_subgroups(group))
+        for h in poset:
+            for k in poset:
+                expected = brute_permutes(group.table, frozenset(h.elems), frozenset(k.elems))
                 assert permutes(h, k) == expected, (text, h.elems, k.elems)
 
 
