@@ -34,15 +34,10 @@ from .formulas import (
     csd_quaternion,
     csd_semidihedral,
 )
-from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _cap
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _cap, _check_order
 from .intmath import is_prime, primes_in
-from .lattice import DEFAULT_MAX_LATTICE_ORDER, DEFAULT_MAX_SECTIONS_ORDER
 from .lattice import _l1_size, _section_degrees, _sections_lattice, subgroup_lattice
 from .reports import FORMATS, RunReport, emit, emit_rows
-
-DEGREE_OPS = ("csd", "d", "sd", "ndeg", "cdeg", "lattice", "csd_star", "is_iwasawa")
-BASE_OPS = frozenset(("csd", "d"))
-ALL_OPS = frozenset(DEGREE_OPS)
 
 VERIFY_FAMILIES = ("dihedral", "quaternion", "semidihedral", "pgroup", "ep3", "zq8bound")
 SCAN_MODES = ("csd-eq-sd", "monotonicity", "csd-star")
@@ -102,29 +97,45 @@ def _positive_int(text: str) -> int:
 # compute
 
 
+# op -> (its value in a group's report, from the group and the op's cap; the
+# Caps field of that cap, also its kind of work in groups._GUARDS), in the
+# order compute runs them. csd and d need only the order cap, met by the build.
+_OPS = {
+    "csd": (lambda group, cap: csd(group, max_order=group.order), "order"),
+    "d": (lambda group, cap: d(group), "order"),
+    "lattice": (lambda group, cap: len(subgroup_lattice(group, max_order=cap)), "lattice"),
+    "sd": (sd, "lattice"),
+    "ndeg": (ndeg, "lattice"),
+    "cdeg": (cdeg, "lattice"),
+    "csd_star": (csd_star, "sections"),
+    "is_iwasawa": (is_iwasawa, "lattice"),
+}
+
+
+def _requested_ops(names: list) -> frozenset[str]:
+    """csd and d, which every report holds, and the ops that ``names`` lists
+    ("all" lists every op)."""
+    if not isinstance(names, list):
+        raise ValueError("ops must be a list")
+    for name in names:
+        if name != "all" and not (isinstance(name, str) and name in _OPS):
+            raise ValueError(f"unknown op {name!r}")
+    return frozenset(["csd", "d", *(_OPS if "all" in names else names)])
+
+
 def _compute_report(task: tuple[str, frozenset, Caps, bool]) -> RunReport:
+    """The report of one group with the requested ops, run from ``_OPS``.
+    Every op's cap is met, in table order, before any op runs: a request
+    over a cap raises the error of its first op over one, having done no
+    work beyond building the group."""
     text, ops, caps, timing = task
     start = time.perf_counter()
     group = _evaluate(text, caps)
-    report = RunReport(
-        group=text,
-        order=group.order,
-        l1=_l1_size(group),
-        csd=csd(group, max_order=group.order),
-        d=d(group),
-    )
-    if "lattice" in ops:
-        report.lattice = len(subgroup_lattice(group, max_order=caps.lattice))
-    if "sd" in ops:
-        report.sd = sd(group, max_order=caps.lattice)
-    if "ndeg" in ops:
-        report.ndeg = ndeg(group, max_order=caps.lattice)
-    if "cdeg" in ops:
-        report.cdeg = cdeg(group, max_order=caps.lattice)
-    if "csd_star" in ops:
-        report.csd_star = csd_star(group, max_order=caps.sections)
-    if "is_iwasawa" in ops:
-        report.is_iwasawa = is_iwasawa(group, max_order=caps.lattice)
+    todo = [(op, run, work, getattr(caps, work)) for op, (run, work) in _OPS.items() if op in ops]
+    for _, _, work, cap in todo:
+        _check_order(group.order, cap, work)
+    values = {op: run(group, cap) for op, run, _, cap in todo}
+    report = RunReport(group=text, order=group.order, l1=_l1_size(group), **values)
     if timing:
         report.wall_ms = (time.perf_counter() - start) * 1000.0
     return report
@@ -148,18 +159,10 @@ def _batch_tasks(args: argparse.Namespace, caps: Caps) -> list[tuple]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("group"), str):
             raise ValueError(f'batch entry {i} must be an object with a "group" string')
-        ops = set(BASE_OPS)
-        listed = entry.get("ops", [])
-        if not isinstance(listed, list):
-            raise ValueError(f"batch entry {i}: ops must be a list")
-        for op in listed:
-            if op == "all":
-                ops |= ALL_OPS
-            elif op in DEGREE_OPS:
-                ops.add(op)
-            else:
-                raise ValueError(f"batch entry {i}: unknown op {op!r}")
-        tasks.append((entry["group"], frozenset(ops), caps, args.timing))
+        try:
+            tasks.append((entry["group"], _requested_ops(entry.get("ops", [])), caps, args.timing))
+        except ValueError as exc:
+            raise ValueError(f"batch entry {i}: {exc}") from None
     return tasks
 
 
@@ -180,13 +183,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
         tasks = list(enumerate(_batch_tasks(args, caps)))
         reports = _map_tasks(_batch_report, tasks, args.jobs)
     else:
-        ops = set(BASE_OPS)
-        if args.all:
-            ops |= ALL_OPS
-        if args.sections:
-            ops.add("csd_star")
-        task = (args.group, frozenset(ops), caps, args.timing)
-        reports = [_compute_report(task)]
+        ops = _requested_ops(["all"] * args.all + ["csd_star"] * args.sections)
+        reports = [_compute_report((args.group, ops, caps, args.timing))]
     sys.stdout.buffer.write(emit(reports, args.format, args.decimal))
     return 0
 
@@ -274,8 +272,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _scan_eq_task(text: str, caps: Caps) -> list[tuple]:
     group = _evaluate(text, caps)
+    sd_v = sd(group, max_order=caps.lattice)  # first: its guard precedes its count of csd's pairs
     csd_v = csd(group, max_order=group.order)
-    sd_v = sd(group, max_order=caps.lattice)
     return [(text, csd_v, sd_v, "match")] if csd_v == sd_v != 1 else []
 
 
@@ -376,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--decimal", action="store_true", help="render degrees as 6-significant-digit decimals")
     common.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for batch entries and scan groups")
     common.add_argument("--max-order", type=_positive_int, default=None, help=f"group order guardrail (default {DEFAULT_MAX_ORDER}; env CSDLAB_MAX_ORDER)")
-    common.add_argument("--max-lattice-order", type=_positive_int, default=None, help=f"full-lattice guardrail (default {DEFAULT_MAX_LATTICE_ORDER})")
-    common.add_argument("--max-sections-order", type=_positive_int, default=None, help=f"sections guardrail (default {DEFAULT_MAX_SECTIONS_ORDER})")
+    common.add_argument("--max-lattice-order", type=_positive_int, default=None, help=f"full-lattice guardrail (default {_cap(None, 'lattice')})")
+    common.add_argument("--max-sections-order", type=_positive_int, default=None, help=f"sections guardrail (default {_cap(None, 'sections')})")
 
     parser = argparse.ArgumentParser(prog="csdlab", description="Cyclic subgroup commutativity degree laboratory")
     verbs = parser.add_subparsers(dest="verb", required=True)
@@ -422,6 +420,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.verb == "compute" and (args.group is None) == (args.batch is None):
             raise ValueError("compute needs exactly one of --group or --batch")
+        if args.verb == "compute" and args.batch is not None and (args.all or args.sections):
+            raise ValueError('--batch takes no --all or --sections: each batch entry lists its own "ops"')
         return args.func(args)
     except GuardrailExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,9 +25,6 @@ from fractions import Fraction
 from ._record import Frozen
 from .groups import FiniteGroup, _check_order, _conjugation_maps, _orbits
 from .lattice import (
-    DEFAULT_MAX_LATTICE_ORDER,
-    DEFAULT_MAX_SECTIONS_ORDER,
-    _check_cyclic_order,
     _cyclic_pairs,
     _kept_pairs,
     _l1_size,
@@ -46,7 +43,7 @@ def csd(group: FiniteGroup, jobs: int | None = None, max_order: int | None = Non
     pair test per conjugacy orbit, pickling the table to workers cost
     more than the tests it would share out.
     """
-    _check_cyclic_order(group, max_order)
+    _check_order(group.order, max_order, "cyclic")
     return Fraction(_cyclic_pairs(group), _l1_size(group) ** 2)
 
 
@@ -56,7 +53,7 @@ def sd(group: FiniteGroup, max_order: int | None = None) -> Degree:
     1 with no lattice built if csd(G) = 1: G is then Iwasawa (see
     is_iwasawa). The lattice guardrail applies either way.
     """
-    _check_order(group.order, max_order, DEFAULT_MAX_LATTICE_ORDER, "lattice max order")
+    _check_order(group.order, max_order, "lattice")
     if csd(group, max_order=group.order) == 1:
         return Fraction(1)
     lat = subgroup_lattice(group, max_order=group.order)
@@ -95,7 +92,7 @@ def is_iwasawa(group: FiniteGroup, max_order: int | None = None) -> bool:
     pairwise makes all subgroups permute. No lattice is built, but the
     lattice guardrail applies, as to every other lattice property.
     """
-    _check_order(group.order, max_order, DEFAULT_MAX_LATTICE_ORDER, "lattice max order")
+    _check_order(group.order, max_order, "lattice")
     return csd(group, max_order=group.order) == 1
 
 
@@ -107,7 +104,7 @@ def csd_star(group: FiniteGroup, max_order: int | None = None) -> Degree:
     visited, with no N > 1 for an Iwasawa H, and each image N<g> is closed
     once for the call (lattice._section_degrees with ``minimum``).
     """
-    _check_order(group.order, max_order, DEFAULT_MAX_SECTIONS_ORDER, "sections max order")
+    _check_order(group.order, max_order, "sections")
     if csd(group, max_order=group.order) == 1:
         return Fraction(1)
     lat = subgroup_lattice(group, max_order=group.order)
@@ -146,7 +143,7 @@ class LowerBounds(Frozen):
 def lower_bounds(group: FiniteGroup, max_order: int | None = None) -> LowerBounds:
     """Evaluate the three lower bounds; needs the full lattice for the abelian
     one, so the lattice guardrail is checked before any work."""
-    _check_order(group.order, max_order, DEFAULT_MAX_LATTICE_ORDER, "lattice max order")
+    _check_order(group.order, max_order, "lattice")
     m = _l1_size(group)
     normal_cyclic = Fraction(sum(1 for cls in group._cyclic_classes if len(cls) == 1), m)
     pair_floor = Fraction(2 * m - 1, m * m)

@@ -30,17 +30,27 @@ from .intmath import factorize, is_prime, multiplicative_order
 
 DEFAULT_MAX_ORDER = 512
 
+# The guardrails: each kind of work -> (its default cap, the cap's name in
+# errors). "order", "lattice" and "sections" are also cli.Caps' fields.
+_GUARDS = {
+    "order": (DEFAULT_MAX_ORDER, "max order"),  # building a group
+    "cyclic": (DEFAULT_MAX_ORDER, "cyclic-poset max order"),  # csd, cyclic_subgroups
+    "lattice": (256, "lattice max order"),  # the full lattice and all that needs it
+    "sections": (128, "sections max order"),  # csd_star and sections
+}
 
-def _cap(max_order: int | None, default: int = DEFAULT_MAX_ORDER) -> int:
-    return default if max_order is None else max_order
+
+def _cap(max_order: int | None, work: str = "order") -> int:
+    return _GUARDS[work][0] if max_order is None else max_order
 
 
-def _check_order(
-    order: int, max_order: int | None, default: int = DEFAULT_MAX_ORDER, kind: str = "max order"
-) -> None:
-    cap = _cap(max_order, default)
+def _check_order(order: int, max_order: int | None, work: str = "order") -> None:
+    """Raise GuardrailExceeded if ``order`` is over the cap on ``work`` (a key
+    of ``_GUARDS``): ``max_order``, or the work's default when it is None.
+    Every guarded entry calls this before it does any work."""
+    cap = _cap(max_order, work)
     if order > cap:
-        raise GuardrailExceeded(f"order {order} exceeds {kind} {cap}")
+        raise GuardrailExceeded(f"order {order} exceeds {_GUARDS[work][1]} {cap}")
 
 
 def _check_power_order(p: int, k: int, max_order: int | None, factor: int = 1) -> int:

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Iterator
 
 from .groups import (
-    DEFAULT_MAX_ORDER,
     FiniteGroup,
     Subgroup,
     _check_order,
@@ -38,9 +37,6 @@ from .groups import (
     subgroup_as_group,
 )
 from .intmath import factorize, prime_power
-
-DEFAULT_MAX_LATTICE_ORDER = 256  # full-lattice operations
-DEFAULT_MAX_SECTIONS_ORDER = 128  # section enumeration
 
 
 class SubgroupLattice:
@@ -74,7 +70,7 @@ def cyclic_subgroups(group: FiniteGroup, max_order: int | None = None) -> Cyclic
     FiniteGroup), each sorted into its subgroup's elements; csd does not
     need it.
     """
-    _check_cyclic_order(group, max_order)
+    _check_order(group.order, max_order, "cyclic")
     if group._cyclic_poset is None:
         cyc = group._cyclic_of  # a power list's last entry generates it
         subs = [
@@ -85,10 +81,6 @@ def cyclic_subgroups(group: FiniteGroup, max_order: int | None = None) -> Cyclic
         subs.sort(key=lambda s: (s.size, s.members))
         group._cyclic_poset = CyclicPoset(group, subs)
     return group._cyclic_poset
-
-
-def _check_cyclic_order(group: FiniteGroup, max_order: int | None) -> None:
-    _check_order(group.order, max_order, DEFAULT_MAX_ORDER, "cyclic-poset max order")
 
 
 def _l1_size(group: FiniteGroup) -> int:
@@ -136,7 +128,7 @@ def subgroup_lattice(group: FiniteGroup, max_order: int | None = None) -> Subgro
     The trivial subgroup is not extended: its extensions are the cyclic
     subgroups the worklist starts from.
     """
-    _check_order(group.order, max_order, DEFAULT_MAX_LATTICE_ORDER, "lattice max order")
+    _check_order(group.order, max_order, "lattice")
     if group._lattice is None:
         masks = sorted(_lattice_worklist(group), key=lambda m: (m.bit_count(), m))
         group._lattice = SubgroupLattice(group, [Subgroup(group, m) for m in masks])
@@ -375,7 +367,7 @@ def sections(group: FiniteGroup, max_order: int | None = None) -> Iterator[Finit
 
 def _sections_lattice(group: FiniteGroup, max_order: int | None = None) -> SubgroupLattice:
     """The lattice of G, under the sections guardrail."""
-    _check_order(group.order, max_order, DEFAULT_MAX_SECTIONS_ORDER, "sections max order")
+    _check_order(group.order, max_order, "sections")
     return subgroup_lattice(group, max_order=group.order)
 
 

@@ -101,6 +101,61 @@ def test_compute_all_work_is_pinned(capsys, monkeypatch, group, tests, closures,
     }
 
 
+OVER_SECTIONS = "order 192 exceeds sections max order 128"
+
+
+@pytest.mark.parametrize(
+    "argv, ops, message",
+    [
+        (["--all", "--group", "Z(3)xD(8)xEa(2,3)"], None, OVER_SECTIONS),
+        (["--jobs", "1"], ["all"], f"batch entry 0: {OVER_SECTIONS}"),
+        (["--jobs", "2"], ["all"], f"batch entry 0: {OVER_SECTIONS}"),
+        (["--jobs", "1"], ["sd", "csd_star"], f"batch entry 0: {OVER_SECTIONS}"),
+        # the first op over its cap names the error, as when the ops ran in turn
+        (["--all", "--group", "Z(300)"], None, "order 300 exceeds lattice max order 256"),
+    ],
+    ids=["all", "batch-all-jobs1", "batch-all-jobs2", "batch-sd-csd_star", "lattice-first"],
+)
+def test_compute_meets_every_cap_before_any_work(capsys, monkeypatch, argv, ops, message):
+    from csdlab import lattice
+
+    calls = {"_lattice_worklist": 0, "_count_pairs": 0}
+    for name in calls:
+        real = getattr(lattice, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(lattice, name, counting)
+    if ops is not None:
+        batch = json.dumps([{"group": "Z(3)xD(8)xEa(2,3)", "ops": ops}])
+        monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+        argv = ["--batch", "-", *argv]
+    assert run(capsys, ["compute", *argv]) == (3, "", f"error: {message}\n")
+    assert calls == {"_lattice_worklist": 0, "_count_pairs": 0}
+
+
+def test_scan_csd_eq_sd_meets_the_lattice_cap_before_csd(capsys, monkeypatch):
+    from csdlab import lattice
+
+    def no_count(*args):
+        raise AssertionError("csd counted for a group over the lattice cap")
+
+    monkeypatch.setattr(lattice, "_count_pairs", no_count)
+    code, out, _ = run(capsys, ["scan", "csd-eq-sd", "Z(300)", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[1] == "Z(300),,,skipped"
+
+
+@pytest.mark.parametrize("flag", ["--all", "--sections"])
+def test_batch_rejects_all_and_sections(capsys, monkeypatch, flag):
+    monkeypatch.setattr("sys.stdin", io.StringIO('[{"group": "D(8)"}]'))
+    code, out, err = run(capsys, ["compute", "--batch", "-", flag])
+    assert (code, out) == (2, "")
+    assert err == 'error: --batch takes no --all or --sections: each batch entry lists its own "ops"\n'
+
+
 def test_long_product_chain_needs_no_recursion(capsys):
     text = "x".join(["Z(1)"] * 2000)
     assert render(parse(text)) == text
@@ -300,6 +355,9 @@ def test_batch_bad_ops_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, ["compute", "--batch", str(batch)])
     assert code == 2
     assert "error" in err
+    for ops, message in [("[{}]", "unknown op {}"), ('[["sd"]]', "unknown op ['sd']"), ('"sd"', "ops must be a list")]:
+        batch.write_text(f'[{{"group": "Z(4)"}}, {{"group": "Z(4)", "ops": {ops}}}]')
+        assert run(capsys, ["compute", "--batch", str(batch)]) == (2, "", f"error: batch entry 1: {message}\n")
 
 
 def test_batch_not_a_list_exit_2(capsys, tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from csdlab.degrees import csd, csd_star, sd
+from csdlab.degrees import cdeg, csd, csd_star, is_iwasawa, lower_bounds, ndeg, sd
 from csdlab.errors import GuardrailExceeded
 from csdlab.expr import evaluate, parse
 from csdlab.formulas import tau
@@ -374,15 +374,31 @@ def test_guardrails():
 
 
 def test_guardrails_hold_on_a_warm_cache():
-    group = direct_product(cyclic(4), generalized_quaternion(3))
-    n = group.order
-    for enumerate_, kind in ((subgroup_lattice, "lattice"), (cyclic_subgroups, "cyclic-poset")):
-        enumerate_(group, max_order=n)
-        with pytest.raises(GuardrailExceeded, match=f"^order {n} exceeds {kind} max order {n - 1}$"):
-            enumerate_(group, max_order=n - 1)
-    csd_star(group, max_order=n)
-    with pytest.raises(GuardrailExceeded, match=f"^order {n} exceeds sections max order {n - 1}$"):
-        csd_star(group, max_order=n - 1)
+    # every guarded entry meets its cap before any work, on a fresh group and
+    # again once a call under the cap has filled the group's caches
+    entries = [
+        (csd, "cyclic-poset"),
+        (cyclic_subgroups, "cyclic-poset"),
+        (subgroup_lattice, "lattice"),
+        (normal_subgroups, "lattice"),
+        (sd, "lattice"),
+        (ndeg, "lattice"),
+        (cdeg, "lattice"),
+        (is_iwasawa, "lattice"),
+        (lower_bounds, "lattice"),
+        (csd_star, "sections"),
+        (lambda group, max_order: next(sections(group, max_order=max_order)), "sections"),
+    ]
+    for entry, kind in entries:
+        group = direct_product(cyclic(4), generalized_quaternion(3))
+        n = group.order
+        message = f"^order {n} exceeds {kind} max order {n - 1}$"
+        with pytest.raises(GuardrailExceeded, match=message):
+            entry(group, max_order=n - 1)
+        assert (group._lattice, group._cyclic_pairs, group._cyclic_poset) == (None, None, None), kind
+        entry(group, max_order=n)
+        with pytest.raises(GuardrailExceeded, match=message):
+            entry(group, max_order=n - 1)
 
 
 @pytest.mark.parametrize("text", ["S(4)", "S(5)", "Z(4)xQ(8)", "D(8)xZ(2)", "S(3)xS(3)"])
