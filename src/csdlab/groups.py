@@ -5,16 +5,17 @@ Elements of a group of order n are the integers 0..n-1 with identity 0;
 classical families (cyclic, elementary abelian, dihedral, generalized
 quaternion, quasi-dihedral, modular, elementary-abelian-by-cyclic,
 metacyclic, Heisenberg) plus permutation-generator closure, direct
-products and quotients. Every family gives right and left
-multiplication by a few generators, and ``_tree_group`` keeps their
-BFS tree, from which each table row is built on first use; nothing is
-solved from a presentation. All nine families are one product
-A ⋊ <y>, ``_split``, of an abelian A given by its moduli (k copies of p
-for F_p^k, one m for <x> = Z_m) and a wrap vector y^q in A (nonzero only
-for Q). Direct products and relabelled copies are built along the tree
-of their factors' generators; only ``quotient`` and ``subgroup_as_group``
-fill a table. Each constructor checks its order against the guardrail
-before any primality test or large power.
+products and quotients. Every constructor gives only the right
+multiplications u -> u*g by a few generators g; ``_tree_group`` keeps
+their BFS tree, from which left multiplication and each table row follow,
+a row built on first use; nothing is solved from a presentation. All
+nine families are one product A ⋊ <y>, ``_split``, of an abelian A given
+by its moduli (k copies of p for F_p^k, one m for <x> = Z_m) and a wrap
+vector y^q in A (nonzero only for Q). Direct products and relabelled
+copies are built along the tree of their factors' generators; only
+``quotient`` and ``subgroup_as_group`` fill a table. Each constructor
+checks its order against the guardrail before any primality test or
+large power.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _check_power_order(p: int, k: int, max_order: int | None, factor: int = 1) -
     cap = _cap(max_order)
     if k >= cap.bit_length():
         shown = f"{p}^{k}" if factor == 1 else f"{p}^{k}*{factor}"
-        raise GuardrailExceeded(f"order {shown} exceeds max order {cap}")
+        raise GuardrailExceeded(f"order {shown} exceeds {_GUARDS['order'][1]} {cap}")
     order = factor * p**k
     _check_order(order, max_order)
     return order
@@ -610,8 +611,8 @@ def relabel(group: FiniteGroup, perm: Permutation) -> FiniteGroup:
     """Isomorphic copy with element i renamed perm(i); perm must fix 0.
 
     Generated by the images p(x) of the group's generators x, with
-    p(a)p(x) = p(ax) and p(x)p(a) = p(xa). Useful for testing isomorphism
-    invariance of computed quantities.
+    p(a)p(x) = p(ax). Useful for testing isomorphism invariance of
+    computed quantities.
     """
     if perm.degree != group.order:
         raise ValueError("permutation degree must equal group order")
@@ -619,40 +620,39 @@ def relabel(group: FiniteGroup, perm: Permutation) -> FiniteGroup:
         raise ValueError("relabeling must keep the identity at index 0")
     p = perm.images
     back = sorted(range(group.order), key=p.__getitem__)  # back[p(a)] = a
-    rmul, lmul = [], []
-    for r in group._rights:
-        row = group._row(r[0])
-        rmul.append([p[r[a]] for a in back])
-        lmul.append([p[row[a]] for a in back])
-    return _tree_group(group.order, rmul, lmul, f"{group.label}~relabeled")
+    rmul = [[p[r[a]] for a in back] for r in group._rights]
+    return _tree_group(group.order, rmul, f"{group.label}~relabeled")
 
 
 # ---------------------------------------------------------------------------
 # Cayley tables from generators
 
 
-def _tree_group(
-    n: int, rmul: list[list[int]], lmul: list[list[int]], label: str
-) -> FiniteGroup:
-    """The group of order n generated by a few elements g_k.
+def _tree_group(n: int, rmul: list[list[int]], label: str) -> FiniteGroup:
+    """The group of order n generated by a few elements g_k, ``rmul[k][u]``
+    the index of u*g_k.
 
-    ``rmul[k][u]`` is the index of u*g_k and ``lmul[k][v]`` that of g_k*v.
-    Walks the BFS tree from the identity 0 and keeps it: a new element
-    w = u*g_k gets row_w[v] = u*(g_k*v) = row_u[lmul[k][v]], so each row is
-    one index gather from its parent's row, built when first read (see
-    FiniteGroup), and the n^2 products never run in Python.
+    Walks the BFS tree from the identity 0 and keeps it. The tree fixes
+    each g_k's row ``lefts[k]``: g_k*0 = g_k, and g_k*w = (g_k*u)*g_j for
+    a new element w = u*g_j. Row w is then row_w[v] = u*(g_j*v) =
+    row_u[lefts[j][v]], one index gather from its parent's row, built when
+    first read (see FiniteGroup), and the n^2 products never run in Python.
     """
-    # itemgetter of n >= 2 indices returns a tuple; with n = 1 it is never
-    # called, since the identity row is the only row
-    gathers = [operator.itemgetter(*lk) for lk in lmul]
-    parent, step = [0] * n, [None] * n
+    lefts = [[rk[0]] * n for rk in rmul]
+    parent, via = [0] * n, [None] * n
     queue = [0]
     for u in queue:
-        for rk, gather in zip(rmul, gathers):
-            w = rk[u]
-            if w and step[w] is None:
-                parent[w], step[w] = u, gather
+        for j, rj in enumerate(rmul):
+            w = rj[u]
+            if w and via[w] is None:
+                parent[w], via[w] = u, j
                 queue.append(w)
+                for left in lefts:
+                    left[w] = rj[left[u]]
+    # itemgetter of n >= 2 indices returns a tuple; with n = 1 it is never
+    # called, since the identity row is the only row
+    gathers = [operator.itemgetter(*left) for left in lefts]
+    step = [None if j is None else gathers[j] for j in via]
     return FiniteGroup._from_tree(parent, step, rmul, label)
 
 
@@ -661,9 +661,9 @@ def _split(moduli: list[int], q: int, act, wrap: int, gens: list[int], label: st
     ``moduli``), with (s, v)(t, w) = (s + t, v + A^s w), plus the vector u
     of index ``wrap`` when s + t wraps past q, for the map A = ``act`` on
     coordinate tuples (A^q = 1, A u = u). (s, v) has index s*m1*...*mk + v,
-    v in mixed radix with its first coordinate most significant. A
-    generator (t, w) moves whole blocks of indices: right multiplication
-    translates block s by A^s w, left multiplication sends v to w + A^t v.
+    v in mixed radix with its first coordinate most significant. Right
+    multiplication by a generator (t, w) moves whole blocks of indices: it
+    translates block s by A^s w into block s + t.
     """
     size = math.prod(moduli)
     vecs = list(itertools.product(*map(range, moduli)))
@@ -677,19 +677,15 @@ def _split(moduli: list[int], q: int, act, wrap: int, gens: list[int], label: st
         return out
 
     past = shift(wrap) if wrap else range(size)  # v -> v + u
-    rmul, lmul = [], []
+    rmul = []
     for g in gens:
         t, y = divmod(g, size)
-        left, right = shift(y), []
+        right = []
         for s in range(q):
             right += [(s + t) % q * size + x for x in shift(past[y] if s + t >= q else y)]
             y = a_of[y]
-        for _ in range(t):
-            left = [left[x] for x in a_of]
-        wrapped = [past[x] for x in left] if wrap else left
-        lmul.append([(s + t) % q * size + x for s in range(q) for x in (wrapped if s + t >= q else left)])
         rmul.append(right)
-    return _tree_group(q * size, rmul, lmul, label)
+    return _tree_group(q * size, rmul, label)
 
 
 def _metacyclic(m: int, k: int, c: int, wrap: int, label: str) -> FiniteGroup:
@@ -871,10 +867,9 @@ def from_generators(
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} does not match {degree}")
     ident = tuple(range(degree))
-    gen_images = [g.images for g in gens]
     elems = [ident]
     index = {ident: 0}
-    rights = [_composer(gi) for gi in gen_images]
+    rights = [_composer(g.images) for g in gens]
     rmul: list[list[int]] = [[] for _ in gens]
     for u in elems:
         for right, rk in zip(rights, rmul):
@@ -882,16 +877,14 @@ def from_generators(
             if w not in index:
                 if len(elems) >= cap:
                     raise GuardrailExceeded(
-                        f"generator closure exceeds max order {cap}"
+                        f"generator closure exceeds {_GUARDS['order'][1]} {cap}"
                     )
                 index[w] = len(elems)
                 elems.append(w)
             rk.append(index[w])
-    lefts = [_composer(v) for v in elems]
-    lmul = [[index[left(gi)] for left in lefts] for gi in gen_images]
     if label is None:
         label = f"Perm({degree}; " + ", ".join(g.to_cycles() for g in gens) + ")"
-    return _tree_group(len(elems), rmul, lmul, label)
+    return _tree_group(len(elems), rmul, label)
 
 
 def direct_product(
@@ -899,15 +892,14 @@ def direct_product(
 ) -> FiniteGroup:
     """Componentwise product; element (a, b) has index a*|h| + b. It is
     generated by (x, 1) and (1, y) for the generators x of g and y of h,
-    multiplied through the factors' ``_rights`` and the rows of x and y."""
+    right-multiplied through the factors' ``_rights``; no row of g or h is
+    read."""
     size = g.order * h.order
     _check_order(size, max_order)
     hs, blocks = range(h.order), range(0, size, h.order)
     rmul = [[a * h.order + b for a in r for b in hs] for r in g._rights]
-    lmul = [[a * h.order + b for a in g._row(r[0]) for b in hs] for r in g._rights]
     rmul += [[a + b for a in blocks for b in r] for r in h._rights]
-    lmul += [[a + b for a in blocks for b in h._row(r[0])] for r in h._rights]
-    return _tree_group(size, rmul, lmul, f"{g.label}x{h.label}")
+    return _tree_group(size, rmul, f"{g.label}x{h.label}")
 
 
 def subgroup_as_group(sub: Subgroup, label: str | None = None) -> FiniteGroup:

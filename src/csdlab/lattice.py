@@ -357,12 +357,14 @@ def sections(group: FiniteGroup, max_order: int | None = None) -> Iterator[Finit
 
     Includes the group itself (H = G, N = 1) and the trivial section.
     Isomorphic duplicates are not removed. Deterministic order: H in
-    lattice order, then N in the lattice order of H.
+    lattice order, then N in the lattice order of H. The sections cap is
+    met at the call, before the first section is asked for.
     """
-    for h in _sections_lattice(group, max_order).subgroups:
-        hg = subgroup_as_group(h)
-        for normal in normal_subgroups(hg, max_order=hg.order):
-            yield quotient(hg, normal)
+    return (
+        quotient(hg, normal)
+        for hg in map(subgroup_as_group, _sections_lattice(group, max_order).subgroups)
+        for normal in normal_subgroups(hg, max_order=hg.order)
+    )
 
 
 def _sections_lattice(group: FiniteGroup, max_order: int | None = None) -> SubgroupLattice:

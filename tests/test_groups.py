@@ -470,12 +470,31 @@ def test_products_and_relabelled_copies_build_rows_on_demand():
     assert d(g) == Fraction(1, 144)
     assert g._built() <= 100
     assert g._table is None
-    # the copy reads only the generators' rows of g, and its own element
-    # walk builds a few of its rows
+    # the copy reads no row of g, and its own element walk builds a few of
+    # its rows
     before = g._built()
     moved = relabel(g, Permutation((0, *range(3599, 0, -1))))
-    assert g._built() <= before + len(g._rights)
+    assert g._built() == before
     assert moved._table is None and moved._built() <= 360
+
+
+def test_constructors_read_no_row_of_their_inputs(monkeypatch):
+    # a product or a relabelled copy is built from its inputs' right
+    # multiplications alone; the new group's own walk reads its own rows
+    a5 = evaluate(parse("A(5)"))
+    g = direct_product(a5, a5, max_order=3600)
+    reads = []
+    row = FiniteGroup._row
+
+    def counting(self, a):
+        if self is a5 or self is g:
+            reads.append((self.label, a))
+        return row(self, a)
+
+    monkeypatch.setattr(FiniteGroup, "_row", counting)
+    direct_product(a5, a5, max_order=3600)
+    relabel(g, Permutation((0, *range(3599, 0, -1))))
+    assert reads == []
 
 
 def test_center_matches_oracle(corpus):

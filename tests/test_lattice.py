@@ -373,6 +373,14 @@ def test_guardrails():
     assert len(cyclic_subgroups(cyclic(600, max_order=600), max_order=600)) == tau(600)
 
 
+def test_sections_meets_its_cap_at_the_call():
+    # the cap is met before any section is asked for, with the usual message
+    group = dihedral(4)
+    with pytest.raises(GuardrailExceeded, match="^order 8 exceeds sections max order 1$"):
+        sections(group, max_order=1)
+    assert group._lattice is None
+
+
 def test_guardrails_hold_on_a_warm_cache():
     # every guarded entry meets its cap before any work, on a fresh group and
     # again once a call under the cap has filled the group's caches
@@ -387,7 +395,7 @@ def test_guardrails_hold_on_a_warm_cache():
         (is_iwasawa, "lattice"),
         (lower_bounds, "lattice"),
         (csd_star, "sections"),
-        (lambda group, max_order: next(sections(group, max_order=max_order)), "sections"),
+        (sections, "sections"),
     ]
     for entry, kind in entries:
         group = direct_product(cyclic(4), generalized_quaternion(3))

@@ -79,3 +79,28 @@ def test_oracle_imports_only_finite_group_from_csdlab():
                 assert alias.name.partition(".")[0] != "csdlab", alias.name
         elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "csdlab":
             assert (node.module, [a.name for a in node.names]) == ("csdlab.groups", ["FiniteGroup"])
+
+
+def _row_figures():
+    """(group, rows built, order) for each "N of M" figure of the "Tables" bullet."""
+    bullet = re.search(r"^- \*\*Tables\.\*\*(.*?)(?=^- |^#)", README, re.MULTILINE | re.DOTALL)
+    text = " ".join(bullet.group(1).split())
+    figures = re.findall(
+        r"`([^`\s]+)`(?: and computing its `csd` and `d` builds|:) (\d+) of (?:its )?(\d+)", text
+    )
+    return [(group, int(built), int(order)) for group, built, order in figures]
+
+
+def test_readme_row_figures_are_built():
+    """README "Tables": csd and d of each group build the rows it names."""
+    from csdlab.degrees import csd, d
+    from csdlab.expr import evaluate, parse
+
+    figures = _row_figures()
+    assert [group for group, _, _ in figures] == ["A(7)", "S(7)", "D(512)", "A(5)xA(5)"]
+    for text, built, order in figures:
+        group = evaluate(parse(text), max_order=order)
+        assert group.order == order, text
+        csd(group, max_order=order)
+        d(group)
+        assert (text, group._built()) == (text, built)
