@@ -12,10 +12,9 @@ a row built on first use; nothing is solved from a presentation. All
 nine families are one product A ⋊ <y>, ``_split``, of an abelian A given
 by its moduli (k copies of p for F_p^k, one m for <x> = Z_m) and a wrap
 vector y^q in A (nonzero only for Q). Direct products and relabelled
-copies are built along the tree of their factors' generators; only
-``quotient`` and ``subgroup_as_group`` fill a table. Each constructor
-checks its order against the guardrail before any primality test or
-large power.
+copies read no row of their inputs, and a quotient G/N only N's rows.
+Each constructor checks its order against the guardrail before any
+primality test or large power.
 """
 
 from __future__ import annotations
@@ -78,13 +77,13 @@ class FiniteGroup:
         elem_order: elem_order[a] is the least k >= 1 with a^k = identity.
         label: descriptive name, e.g. "D(8)" or "Z(4)xQ(8)".
 
-    A group built along a generator tree (see ``_tree_group``) keeps
-    the tree, and its generators' right multiplications ``_rights``:
-    row a is built on first use, by one gather from its parent's row
-    (``_row``), and reading ``table`` builds the missing rows once. A group
-    given a full table has every row from the start. ``mul``, ``power``,
-    ``Subgroup.check`` and ``lattice.product_set`` read only the rows they
-    use, so csd and d of a large group build few rows.
+    Every constructor builds along a generator tree (``_tree_group``) and
+    keeps it, with its generators' right multiplications ``_rights``; row
+    a is built on first use, by one gather from its parent's row
+    (``_row``). ``table`` builds the missing rows and drops the tree, so
+    ``_tree`` is None iff every row is built, as for a caller's own table.
+    ``mul``, ``power``, ``Subgroup.check`` and ``lattice.product_set``
+    read only the rows they use, so csd and d of a large group build few rows.
 
     Element orders, inverses and ``_cyclic_of[a]`` (the mask of <a>) come
     from one power walk, on the element's own row, per conjugacy class of
@@ -108,7 +107,6 @@ class FiniteGroup:
         "elem_order",
         "label",
         "_rows",
-        "_table",
         "_tree",
         "_rights",
         "_cyclic_of",
@@ -124,8 +122,7 @@ class FiniteGroup:
         if n == 0:
             raise ValueError("group must have at least one element")
         self.order = n
-        # tuple() returns a tuple row itself, so the derived constructions copy nothing
-        self._rows = self._table = t = tuple(tuple(row) for row in table)
+        self._rows = t = tuple(tuple(row) for row in table)
         self._tree = None
         if any(len(row) != n for row in t):
             raise ValueError(f"table for {label!r} is not square")
@@ -144,7 +141,6 @@ class FiniteGroup:
         n = self.order = len(parent)
         self._rows = [None] * n
         self._rows[0] = tuple(range(n))
-        self._table = None
         self._tree = (parent, step)
         self._walk_elements(label, rights)
         return self
@@ -243,10 +239,10 @@ class FiniteGroup:
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:
         """The whole table; the rows not yet built are built once, here."""
-        if self._table is None:
-            self._table = self._rows = tuple(map(self._row, range(self.order)))
+        if self._tree is not None:
+            self._rows = tuple(map(self._row, range(self.order)))
             self._tree = None
-        return self._table
+        return self._rows
 
     def _check_index(self, *elems: int) -> None:
         if not all(0 <= a < self.order for a in elems):
@@ -406,6 +402,8 @@ class Subgroup:
         return bool((self.members >> element) & 1)
 
     def __le__(self, other: Subgroup) -> bool:
+        if self.group is not other.group:
+            raise ValueError("subgroups belong to different groups")
         return self.members | other.members == other.members
 
     def __eq__(self, other) -> bool:
@@ -808,14 +806,14 @@ def p_group_P(
     isomorphism class does not depend on the choice.
     """
     if p < 3:
-        raise ValueError(f"base prime must be odd, got {p}")
+        raise ValueError(f"base must be an odd prime, got {p}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if q < 2 or (p - 1) % q != 0:
         raise ValueError(f"q must be a prime divisor of p-1, got p={p}, q={q}")
     _check_power_order(p, n - 1, max_order, q)
     if not is_prime(p):
-        raise ValueError(f"base prime must be odd, got {p}")
+        raise ValueError(f"base must be an odd prime, got {p}")
     if not is_prime(q):
         raise ValueError(f"q must be a prime divisor of p-1, got p={p}, q={q}")
     if action_power is None:
@@ -906,24 +904,24 @@ def subgroup_as_group(sub: Subgroup, label: str | None = None) -> FiniteGroup:
     """Standalone FiniteGroup on the elements of a subgroup, reindexed 0..size-1.
 
     Elements keep their relative order, so the identity (index 0 in the
-    parent) stays at index 0.
+    parent) stays at index 0. Built along the tree of its greedy generators.
     """
-    t = sub.group.table
     pos = {e: i for i, e in enumerate(sub.elems)}
-    table = [tuple([pos[t[a][b]] for b in sub.elems]) for a in sub.elems]
+    gens = _generator_chain(sub.group, sub.elems)[1]
+    rmul = [[pos[sub.group._row(h)[g]] for h in sub.elems] for g in gens]
     if label is None:
         label = f"{sub.group.label}>sub({sub.size})"
-    return FiniteGroup(table, label)
+    return _tree_group(sub.size, rmul, label)
 
 
 def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
-    """Quotient by a normal subgroup; cosets indexed by minimal member, ascending."""
+    """Quotient by a normal subgroup; cosets indexed by minimal member, ascending.
+    Built along the tree of the cosets of the group's generators, from N's rows."""
     if normal.group is not group:
         raise ValueError("subgroup belongs to a different group")
     if not _invariant(normal.members, normal.elems, _conjugation_maps(group)):
         raise ValueError("subgroup is not normal")
-    t = group.table
-    cosets = _orbits(group.order, normal.elems, lambda x, a: t[a][x])  # the cosets aN
+    cosets = _orbits(group.order, [group._row(a) for a in normal.elems], operator.getitem)  # Nx = xN
     coset_of = {a: i for i, coset in enumerate(cosets) for a in coset}
-    table = [tuple([coset_of[t[a[0]][b[0]]] for b in cosets]) for a in cosets]
-    return FiniteGroup(table, f"{group.label}/({normal.size})")
+    rmul = [[coset_of[r[c[0]]] for c in cosets] for r in group._rights]
+    return _tree_group(len(cosets), rmul, f"{group.label}/({normal.size})")

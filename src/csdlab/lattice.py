@@ -144,7 +144,7 @@ def _lattice_worklist(group: FiniteGroup) -> set[int]:
     maps = _conjugation_maps(group)
     roots = _prime_power_roots(group)
     known: set[int] = set()
-    work: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    work: list[tuple[int, tuple[int, ...], tuple[int, ...]] | None] = []
 
     def add_class(mask: int, gens: tuple[int, ...]) -> None:
         known.add(mask)
@@ -162,7 +162,8 @@ def _lattice_worklist(group: FiniteGroup) -> set[int]:
     for x, mask in enumerate(group._cyclic_of):
         if mask not in known:
             add_class(mask, (x,) if x else ())
-    for mh, gh, eh in work:
+    for i, (mh, gh, eh) in enumerate(work):
+        work[i] = None  # read once: free its element list before the walk ends
         if mh == 1 or mh == full:
             continue
         todo = 0

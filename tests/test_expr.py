@@ -248,6 +248,8 @@ FAMILY_CASES = [
     ("Perm(3; (0 9))", (ExprError, "cycle entry 9 out of range for degree 3", (0, 14))),
     ("Perm(3; (0 0))", (ExprError, "cycles are not disjoint: 0 repeats", (0, 14))),
     ("Perm(10; (2 5), (10 7))", (ExprError, "cycle entry 10 out of range for degree 10", (0, 23))),
+    ("P(2,9,2)", (ExprError, "base must be an odd prime, got 9", (0, 8))),
+    ("P(2,1,2)", (ExprError, "base must be an odd prime, got 1", (0, 8))),
 ]
 
 

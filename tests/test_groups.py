@@ -20,6 +20,7 @@ from csdlab.groups import (
     direct_product,
     elementary_abelian,
     from_generators,
+    full_subgroup,
     generalized_quaternion,
     generated_subgroup,
     heisenberg_E,
@@ -432,7 +433,11 @@ def test_direct_product_structure():
 
 def _klein():
     d8 = dihedral(4)
-    return quotient(d8, center(d8))  # a group given a full table
+    return quotient(d8, center(d8))  # built along the tree of its generators' cosets
+
+
+def _klein_table():
+    return FiniteGroup(_klein().table, "D(8)/Z")  # a caller's full table
 
 
 def _assert_product_table(g, h):
@@ -447,6 +452,7 @@ def _assert_product_table(g, h):
     [
         lambda: (dihedral(4), generalized_quaternion(3)),  # tree x tree
         lambda: (_klein(), cyclic(3)),
+        lambda: (_klein_table(), cyclic(3)),
         lambda: (cyclic(2), relabel(p_group_P(2, 3, 2), Permutation((0, 3, 5, 1, 4, 2)))),
         lambda: (cyclic(1), dihedral(3)),  # trivial factor
         lambda: (heisenberg_E(3), cyclic(1)),
@@ -454,7 +460,7 @@ def _assert_product_table(g, h):
         lambda: (direct_product(cyclic(2), cyclic(2)), generalized_quaternion(3)),
         lambda: (cyclic(2), direct_product(cyclic(2), generalized_quaternion(3))),
     ],
-    ids=["D(8)xQ(8)", "quotient", "relabel", "Z(1)xD(6)", "E(27)xZ(1)", "Z(1)xZ(1)",
+    ids=["D(8)xQ(8)", "quotient", "table", "relabel", "Z(1)xD(6)", "E(27)xZ(1)", "Z(1)xZ(1)",
          "(Z(2)xZ(2))xQ(8)", "Z(2)x(Z(2)xQ(8))"],
 )
 def test_direct_product_table_is_componentwise(build):
@@ -469,13 +475,13 @@ def test_products_and_relabelled_copies_build_rows_on_demand():
     assert csd(g, max_order=3600) == Fraction(8783, 189728)
     assert d(g) == Fraction(1, 144)
     assert g._built() <= 100
-    assert g._table is None
+    assert g._tree is not None
     # the copy reads no row of g, and its own element walk builds a few of
     # its rows
     before = g._built()
     moved = relabel(g, Permutation((0, *range(3599, 0, -1))))
     assert g._built() == before
-    assert moved._table is None and moved._built() <= 360
+    assert moved._tree is not None and moved._built() <= 360
 
 
 def test_constructors_read_no_row_of_their_inputs(monkeypatch):
@@ -525,15 +531,19 @@ def test_nilpotency_matches_oracle(corpus):
         assert is_nilpotent(group) == brute_is_nilpotent(group), text
 
 
-@pytest.mark.parametrize("text", ["S(4)", "Z(2)xD(8)", "Q(16)", "Z(3)xS(3)", "E(27)", "Ea(3,2)"])
+@pytest.mark.parametrize(
+    "text", ["S(4)", "Z(2)xD(8)", "Q(16)", "Z(3)xS(3)", "E(27)", "Ea(3,2)", "Z(3)xS(3) as a table"]
+)
 def test_subgroup_conjugation_maps_match_conjugation_by_every_element(text):
     # the maps of a subgroup H come from its greedy generators only, those
     # of G (no ``within``) from its construction generators when G is
-    # tree-built (S(4), Q(16), E(27), Ea(3,2)) and from its greedy chain
-    # when G was given a full table (the direct products); their orbits
-    # must still be the conjugacy classes, and no map is left exactly when
-    # the (sub)group is abelian
-    group = evaluate(parse(text))
+    # tree-built (every constructor) and from its greedy chain when G was
+    # given a caller's full table; their orbits must still be the conjugacy
+    # classes, and no map is left exactly when the (sub)group is abelian
+    name, given_table, _ = text.partition(" as a table")
+    group = evaluate(parse(name))
+    if given_table:
+        group = FiniteGroup(group.table, name)
     t = group.table
     inv = group.inverse
     whole = [(None, tuple(range(group.order)))]
@@ -596,7 +606,7 @@ def test_single_products_read_only_their_rows():
     products = [(a, b, a7.mul(a, b)) for a, b in ((5, 7), (2519, 1), (1000, 2000))]
     powers = [(a, k, a7.power(a, k)) for a, k in ((5, 2), (2519, -1))]
     Subgroup.from_elements(a7, a7._powers(1000))
-    assert a7._table is None
+    assert a7._tree is not None
     # each read builds its row and any missing ancestors in the BFS tree
     assert a7._built() <= before + 50
     t = a7.table
@@ -613,7 +623,7 @@ def test_csd_and_d_of_a7_build_few_rows():
         assert csd(a7, max_order=2520) == Fraction(20689, 896809)
         assert d(a7) == Fraction(1, 280)
         counts.append(a7._built())
-        assert a7._table is None
+        assert a7._tree is not None
     assert counts[0] == counts[1] <= 100
     assert a7.table == evaluate(parse("A(7)"), max_order=2520).table
 
@@ -697,6 +707,32 @@ def test_quotient_requires_normal(small_corpus):
                     quotient(group, sub)
 
 
+@pytest.mark.parametrize("text, rows", [("D(512)", None), ("A(5)xA(5)", (0, 1, 1799, 3599))])
+def test_quotient_by_the_center_reads_no_row_of_the_group(text, rows):
+    group = evaluate(parse(text), max_order=3600)
+    z = center(group)
+    before = group._built()
+    q = quotient(group, z)
+    assert group._built() == before
+    # coset zx of x, indexed by the rank of its least member; z is central,
+    # so only the rows of z's elements are read
+    least = [min(group._row(c)[x] for c in z.elems) for x in range(group.order)]
+    reps = sorted(set(least))
+    index = {x: i for i, x in enumerate(reps)}
+    for i in range(q.order) if rows is None else rows:
+        row = group._row(reps[i])
+        assert q._row(i) == tuple(index[least[row[r]]] for r in reps), (text, i)
+
+
+def test_subgroup_order_is_within_one_group():
+    d8, q8 = full_subgroup(dihedral(4)), full_subgroup(generalized_quaternion(3))
+    for a, b in ((d8, q8), (q8, d8)):
+        with pytest.raises(ValueError, match="^subgroups belong to different groups$"):
+            a <= b
+    rot = generated_subgroup(d8.group, [1])
+    assert rot <= d8 and not d8 <= rot and rot <= rot
+
+
 def test_subgroup_as_group_reindexes():
     d8 = dihedral(4)
     rot = generated_subgroup(d8, [1])
@@ -721,11 +757,12 @@ def test_relabel_preserves_structure():
     [
         (lambda: dihedral(4), (0, 3, 1, 2, 6, 4, 7, 5)),
         (lambda: _klein(), (0, 2, 3, 1)),
+        (lambda: _klein_table(), (0, 2, 3, 1)),
         (lambda: direct_product(cyclic(2), cyclic(3)), (0, 5, 4, 3, 2, 1)),
         (lambda: cyclic(2), (0, 1)),
         (lambda: cyclic(1), (0,)),
     ],
-    ids=["D(8)", "quotient", "Z(2)xZ(3)", "Z(2)", "Z(1)"],
+    ids=["D(8)", "quotient", "table", "Z(2)xZ(3)", "Z(2)", "Z(1)"],
 )
 def test_relabel_table_renames_every_entry(build, images):
     g = build()
@@ -777,9 +814,13 @@ def test_orbits_are_the_conjugacy_classes(small_corpus):
     d12 = dihedral(6)
     s4 = evaluate(parse("S(4)"))
     abelian = elementary_abelian(3, 2)
+    s3 = quotient(d12, center(d12))
+    a4 = subgroup_as_group(subgroup_lattice(s4).subgroups[-2])
     groups = [g for _, g in small_corpus] + [
-        quotient(d12, center(d12)),  # S(3), given a full table
-        subgroup_as_group(subgroup_lattice(s4).subgroups[-2]),  # A(4)
+        s3,
+        FiniteGroup(s3.table, "S(3)"),  # a caller's full table
+        a4,
+        FiniteGroup(a4.table, "A(4)"),
         abelian,
     ]
     for g in groups:

@@ -181,17 +181,21 @@ def test_is_normal_matches_conjugation_by_every_element(text):
 
 def walk_groups(corpus):
     """The corpus (families and products) with a group of every other
-    construction: Perm, A(n)/S(n), relabel, and the full tables of
-    quotient and subgroup_as_group."""
+    construction: Perm, A(n)/S(n), relabel, quotient and
+    subgroup_as_group, and a caller's full table of the last two."""
     s4 = evaluate(parse("S(4)"))
     d16 = evaluate(parse("D(16)"))
     swap = Permutation((0,) + tuple(range(s4.order - 1, 0, -1)))
+    d16_z = quotient(d16, center(d16))
+    a4 = subgroup_as_group(subgroup_lattice(s4).subgroups[-2])
     more = [
         ("Perm(5; (0 1 2 3), (3 4))", evaluate(parse("Perm(5; (0 1 2 3), (3 4))"))),
         ("A(5)", evaluate(parse("A(5)"))),
         ("S(4)~relabeled", relabel(s4, swap)),
-        ("D(16)/Z", quotient(d16, center(d16))),
-        ("S(4)>A(4)", subgroup_as_group(subgroup_lattice(s4).subgroups[-2])),
+        ("D(16)/Z", d16_z),
+        ("D(16)/Z as a table", FiniteGroup(d16_z.table, "D(16)/Z")),
+        ("S(4)>A(4)", a4),
+        ("S(4)>A(4) as a table", FiniteGroup(a4.table, "S(4)>A(4)")),
     ]
     return corpus + more
 
@@ -428,12 +432,13 @@ def test_minimum_walk_takes_one_subgroup_per_class(text):
 
 
 def test_each_call_returns_the_cached_subgroups():
-    group = dihedral(6)
-    for enumerate_ in (subgroup_lattice, cyclic_subgroups):
-        first, second = enumerate_(group), enumerate_(group)
-        assert first is second
-        assert all(type(s) is Subgroup and s.group is group for s in first)
-    assert cyclic_subgroups(group) is not subgroup_lattice(group)
+    tree = dihedral(6)
+    for group in (tree, FiniteGroup(tree.table, "D(12)")):
+        for enumerate_ in (subgroup_lattice, cyclic_subgroups):
+            first, second = enumerate_(group), enumerate_(group)
+            assert first is second
+            assert all(type(s) is Subgroup and s.group is group for s in first)
+        assert cyclic_subgroups(group) is not subgroup_lattice(group)
 
 
 def _live_groups():
