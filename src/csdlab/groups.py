@@ -527,6 +527,24 @@ def _derived_mask(group: FiniteGroup, elems, maps) -> int:
     return generated_mask(group, {t[inv[x]][c[x]] for c in maps for x in elems})
 
 
+def _perfect_residual(group: FiniteGroup) -> int:
+    """Mask of G^(∞), the last term of the derived series: the largest
+    perfect subgroup, 1 iff G is solvable. Each term is the derived
+    subgroup of the one before, under that term's conjugation maps; a
+    term with no maps is abelian, so the series ends at 1 after it."""
+    mask = (1 << group.order) - 1
+    elems = range(group.order)
+    while True:
+        maps = _conjugation_maps(group, mask)
+        if not maps:
+            return 1
+        derived = _derived_mask(group, elems, maps)
+        if derived == mask:
+            return mask
+        mask = derived
+        elems = _elements(mask)
+
+
 def _conjugation_maps(group: FiniteGroup, within: int | None = None) -> list[tuple[int, ...]]:
     """The maps x -> g^-1 x g for a generating set of the group, or of its
     subgroup with mask ``within``.

@@ -2,9 +2,11 @@
 
 Subgroups are bitmasks over element indices (see groups.Subgroup). The
 full lattice is enumerated by cyclic extension: starting from the cyclic
-subgroups, each subgroup H is extended by the prime-power elements g
-with g^p in H, and <H, g> is closed as a union of cosets of H (see
-subgroup_lattice for why this finds every subgroup). Collections are
+subgroups, each subgroup H is extended by prime-power elements g with
+g^p in H, and <H, g> is closed as a union of cosets of H. Outside the
+perfect residual G^(∞) only the g that normalise H are taken, so each
+step there has index p; inside it every such g is (see subgroup_lattice
+for why this finds every subgroup). Collections are
 ordered by (size, mask value) so every enumeration is deterministic.
 Each group is enumerated once: its cyclic poset and its lattice are
 kept on it, and every call returns those same collections. The pairs
@@ -33,6 +35,7 @@ from .groups import (
     _invariant,
     _mask_of,
     _orbits,
+    _perfect_residual,
     quotient,
     subgroup_as_group,
 )
@@ -104,21 +107,40 @@ def subgroup_lattice(group: FiniteGroup, max_order: int | None = None) -> Subgro
 
     The worklist starts from the cyclic subgroups. A subgroup H is
     extended only by elements g of prime-power order p^a with g not in H
-    and g^p in H, and K = <H, g> joins the worklist if it is new. This
-    finds every subgroup, for solvable and non-solvable groups alike:
-    take K != 1 and a maximal subgroup M of K, found by induction on the
-    order. K is generated by its elements of prime-power order, so one
-    of them, y, lies outside M; its last p-th power y' outside M has
-    y'^p in M, and <M, y'> = K since M is maximal.
+    and g^p in H, and K = <H, g> joins the worklist if it is new. Let R
+    be the perfect residual G^(∞), the last term of the derived series.
+    If H and g lie in R, every such g is taken. Otherwise g is taken only
+    if it normalises H, which is g^-1 s g in H for each kept generator s
+    of H; then |K:H| = p.
+
+    This finds every subgroup K != 1, by induction on the order:
+
+    - If K is not perfect, K/K' is a nontrivial abelian group, so K has
+      a normal subgroup M of prime index p. K is generated by its
+      elements of prime-power order, so one of them, y, lies outside M.
+      Its image in K/M has order p, so y is a p-element; its last p-th
+      power y' outside M has y'^p in M, normalises M, and
+      <M, y'> = K.
+    - If K is perfect, K lies in R, and so does every maximal subgroup
+      M of K. As above some prime-power y' outside M has y'^p in M, and
+      <M, y'> = K since M is maximal. M and y' lie in R.
+    - Only one subgroup per conjugacy class is extended. Conjugation
+      carries (M, y') to a pair with the same properties on the class's
+      first member: R is characteristic, and normalising is preserved.
+
+    A solvable G has R = 1 and takes only normal steps; a perfect G has
+    R = G and takes every candidate.
 
     K is built as a union of right cosets H*r, closed under the
     generators of H and g, so a closure costs |K| bit sets and
     |K:H| * |gens| lookups. Each step at least doubles the order, so a
-    subgroup keeps at most log2|G| generators. Three prunes keep the
+    subgroup keeps at most log2|G| generators. Four prunes keep the
     result exact:
 
-    - <H, hg> = <H, g>, so once g is tried the whole coset H*g is done
-      for H;
+    - a normal step gives |K:H| = p, so every element of K outside H
+      gives K again, and all of K is done for H;
+    - inside R, <H, hg> = <H, g>, so once g is tried the whole coset
+      H*g is done for H;
     - a closure holding more than |G|/p elements, p the least prime
       dividing |G|, is G by Lagrange, and stops there;
     - conjugation maps the extensions of H onto those of its
@@ -143,6 +165,8 @@ def _lattice_worklist(group: FiniteGroup) -> set[int]:
     largest_proper = n // min(factorize(n), default=1)
     maps = _conjugation_maps(group)
     roots = _prime_power_roots(group)
+    inv = group.inverse
+    residual = _perfect_residual(group)
     known: set[int] = set()
     work: list[tuple[int, tuple[int, ...], tuple[int, ...]] | None] = []
 
@@ -170,12 +194,20 @@ def _lattice_worklist(group: FiniteGroup) -> set[int]:
         for h in eh:
             todo |= roots[h]
         todo &= ~mh
+        inside = mh & residual == mh
         while todo:
             g = (todo & -todo).bit_length() - 1
-            for h in eh:
-                todo &= ~(1 << t[h][g])
+            normal_step = not (inside and (residual >> g) & 1)
+            if not normal_step:
+                for h in eh:  # <H, hg> = <H, g>
+                    todo &= ~(1 << t[h][g])
+            elif maps and not all((mh >> t[t[inv[g]][h]][g]) & 1 for h in gh):
+                todo &= ~(1 << g)
+                continue
             gk = gh + (g,)
             mk = _coset_closure(t, mh, eh, gk, largest_proper, full)
+            if normal_step:
+                todo &= ~mk  # |K:H| = p, so each element of K outside H gives K
             if mk not in known:
                 add_class(mk, gk)
     return known
@@ -184,10 +216,12 @@ def _lattice_worklist(group: FiniteGroup) -> set[int]:
 def _prime_power_roots(group: FiniteGroup) -> list[int]:
     """roots[h]: mask of the elements g of prime-power order p^a > 1 with g^p = h."""
     roots = [0] * group.order
+    # each distinct element order factorised once: its prime, if a prime power
+    primes = {o: pk[0] for o in set(group.elem_order) if (pk := prime_power(o))}
     for g in range(1, group.order):
-        pk = prime_power(group.elem_order[g])
-        if pk is not None:
-            roots[group.power(g, pk[0])] |= 1 << g
+        p = primes.get(group.elem_order[g])
+        if p:
+            roots[group.power(g, p)] |= 1 << g
     return roots
 
 

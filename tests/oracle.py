@@ -169,15 +169,30 @@ def brute_center(group: FiniteGroup) -> frozenset[int]:
     )
 
 
-def brute_derived(group: FiniteGroup) -> frozenset[int]:
-    """Closure of all |G|^2 commutators a^-1 b^-1 a b."""
+def _commutators_closure(group: FiniteGroup, members) -> frozenset[int]:
+    """Closure of the commutators a^-1 b^-1 a b of all a, b in ``members``."""
     table = group.table
     inv = group.inverse
-    n = group.order
     return closure(
         table,
-        {table[table[table[inv[a]][inv[b]]][a]][b] for a in range(n) for b in range(n)},
+        {table[table[table[inv[a]][inv[b]]][a]][b] for a in members for b in members},
     )
+
+
+def brute_derived(group: FiniteGroup) -> frozenset[int]:
+    """Closure of all |G|^2 commutators a^-1 b^-1 a b."""
+    return _commutators_closure(group, range(group.order))
+
+
+def brute_perfect_residual(group: FiniteGroup) -> frozenset[int]:
+    """The last term of the derived series, each term the closure of the
+    commutators of the one before, taken until a term repeats."""
+    term = frozenset(range(group.order))
+    while True:
+        derived = _commutators_closure(group, term)
+        if derived == term:
+            return term
+        term = derived
 
 
 def brute_is_nilpotent(group: FiniteGroup) -> bool:

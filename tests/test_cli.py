@@ -64,10 +64,10 @@ def test_compute_all_counts_csd_once(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "group,tests,closures,chain",
     [
-        ("D(8)xEa(2,3)", 77696, 8555, 1987),
-        ("S(5)", 1387, 362, 43),
+        ("D(8)xEa(2,3)", 77696, 6923, 1989),
+        ("S(5)", 1387, 137, 49),
         ("Ea(2,5)", 0, 2046, 0),
-        ("D(128)", 892, 592, 41),
+        ("D(128)", 892, 364, 43),
     ],
 )
 def test_compute_all_work_is_pinned(capsys, monkeypatch, group, tests, closures, chain):

@@ -37,6 +37,7 @@ from csdlab.groups import (
     _conjugation_maps,
     _elements,
     _orbits,
+    _perfect_residual,
 )
 from csdlab.lattice import subgroup_lattice
 from oracle import (
@@ -45,6 +46,7 @@ from oracle import (
     brute_derived,
     brute_is_nilpotent,
     brute_normals,
+    brute_perfect_residual,
     brute_subgroups,
     closure,
     validate,
@@ -522,6 +524,22 @@ def test_derived_subgroup(corpus):
     for text in ("S(5)", "A(5)"):
         group = evaluate(parse(text))
         assert frozenset(derived_subgroup(group).elems) == brute_derived(group), text
+
+
+def test_perfect_residual_matches_oracle_derived_series(small_corpus):
+    for text, group in small_corpus:
+        assert _perfect_residual(group) == 1, text
+        assert brute_perfect_residual(group) == {0}, text
+    for text, size in (
+        ("S(5)", 60),
+        ("A(5)xZ(2)", 60),
+        ("A(5)", 60),
+        ("Perm(7; (0 1 2 3 4 5 6), (1 2)(3 6))", 168),
+    ):
+        group = evaluate(parse(text))
+        mask = _perfect_residual(group)
+        assert frozenset(_elements(mask)) == brute_perfect_residual(group), text
+        assert mask.bit_count() == size, text
 
 
 def test_nilpotency_matches_oracle(corpus):

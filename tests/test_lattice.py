@@ -50,6 +50,9 @@ from oracle import (
 )
 
 
+PSL27 = "Perm(7; (0 1 2 3 4 5 6), (1 2)(3 6))"  # PSL(2,7), order 168
+
+
 def as_sets(subs):
     return {frozenset(sub.elems) for sub in subs}
 
@@ -125,6 +128,12 @@ def test_lattice_sizes_match_closed_forms():
         assert len(subgroup_lattice(elementary_abelian(p, k))) == count, (p, k)
     for text, count in (("S(4)", 30), ("A(5)", 59), ("S(5)", 156)):
         assert len(subgroup_lattice(evaluate(parse(text)))) == count, text
+    # published counts for three non-solvable groups, PSL(2,7) as a
+    # permutation group of degree 7
+    for text, order, count in ((PSL27, 168, 179), ("A(6)", 360, 501), ("S(6)", 720, 1455)):
+        group = evaluate(parse(text), max_order=order)
+        assert group.order == order, text
+        assert len(subgroup_lattice(group, max_order=order)) == count, text
 
 
 def _generating_set(group, mask):
@@ -139,7 +148,7 @@ def _generating_set(group, mask):
     return gens
 
 
-@pytest.mark.parametrize("text", ["A(5)", "S(5)"])
+@pytest.mark.parametrize("text", ["A(5)", "S(5)", "A(5)xZ(2)", PSL27])
 def test_lattice_of_non_solvable_group_is_complete(text):
     # Every subgroup is a join of cyclic subgroups, so a family of
     # subgroups that holds every cyclic subgroup and every pairwise join
